@@ -17,9 +17,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -31,6 +34,11 @@ from .trainer import (CLI_BATCH_SIZES, TrainConfig, evaluate, load_checkpoint,
                       read_checkpoint_header, save_checkpoint, train)
 
 ABLATION_ROWS = (("No", "No", "none"), ("Yes", "Add", "add"), ("Yes", "Dot Product", "dot"))
+
+# One BLAS thread per ablation worker: the workers already fill the cores, and
+# BLAS threads inside each would oversubscribe them. One setting for every
+# worker also keeps results independent of --jobs (see README, Determinism).
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 @dataclass(frozen=True)
@@ -220,6 +228,21 @@ def _ablation_worker(payload) -> tuple[str, int, float]:
     return mode, seed, evaluate(model, test_set).accuracy_pct
 
 
+@contextmanager
+def _environment(overrides: dict[str, str]):
+    """Set environment variables for processes started inside the block."""
+    saved = {name: os.environ.get(name) for name in overrides}
+    os.environ.update(overrides)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def run_ablation(args) -> EvalReport:
     """Train every fusion mode for every seed; deterministic per (mode, seed)."""
     dataset_name = Path(args.train).name.split(".")[0]
@@ -232,13 +255,10 @@ def run_ablation(args) -> EvalReport:
             for _, _, mode in ABLATION_ROWS for seed in args.seeds]
 
     results: dict[tuple[str, int], float] = {}
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for mode, seed, acc in pool.map(_ablation_worker, jobs):
-                results[(mode, seed)] = acc
-    else:
-        for payload in jobs:
-            mode, seed, acc = _ablation_worker(payload)
+    spawn = multiprocessing.get_context("spawn")  # fresh workers read WORKER_ENV
+    with _environment(WORKER_ENV), \
+            ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
+        for mode, seed, acc in pool.map(_ablation_worker, jobs):
             results[(mode, seed)] = acc
             print(f"done fusion={mode} seed={seed} acc={acc:.1f}")
 

@@ -4,9 +4,12 @@ One EncoderParams instance serves both utterances and verbalized label
 phrases; there is no second parameter set, so label representations move
 whenever training updates the encoder.
 
-The forward pass works on the valid prefix of the sequence (TokenSeq masks
-are prefixes by construction), which makes the output structurally
-independent of trailing padding.
+The forward pass takes a list of sequences and packs their valid prefixes
+(TokenSeq masks are prefixes by construction) into one array, stably sorted
+by length so equal lengths sit together: row-wise layers run once over every
+row, attention once per length (see nncore). Padding never enters, and a
+sequence's vector does not depend on which sequences share its pack beyond
+floating-point summation order.
 """
 
 from __future__ import annotations
@@ -52,14 +55,6 @@ class EncoderParams:
 
 
 @dataclass
-class EncodeCache:
-    mask: np.ndarray
-    embed_cache: nncore.EmbedCache
-    attn_cache: nncore.AttnCache
-    ffn_cache: nncore.FfnCache
-
-
-@dataclass
 class LabelSet:
     """Verbalized, tokenized class labels plus an inference-time cache.
 
@@ -79,30 +74,50 @@ class LabelSet:
         return len(self.label_names)
 
 
-def _valid_prefix(seq: TokenSeq) -> TokenSeq:
-    n = seq.true_len
-    return TokenSeq(ids=seq.ids[:n], mask=seq.mask[:n], true_len=n)
+@dataclass
+class EncodeCache:
+    order: np.ndarray    # packed segment i is input sequence order[i]
+    segs: nncore.Segments
+    embed_cache: nncore.EmbedCache
+    attn_cache: nncore.AttnCache
+    ffn_cache: nncore.FfnCache
+
+
+def encode_batch_forward(seqs, params: EncoderParams):
+    """Embed + one residual attention/FFN block + mean pooling, for every
+    sequence in one packed pass; returns (len(seqs) x d vectors, cache)."""
+    lengths = np.array([seq.true_len for seq in seqs], dtype=np.int64)
+    order = np.argsort(lengths, kind="stable")
+    segs = nncore.segments(lengths[order])
+    ids = np.concatenate([seqs[i].ids[:seqs[i].true_len] for i in order])
+    x0, embed_cache = nncore.embed_forward(ids, segs.positions, params.emb, params.pos)
+    x1, attn_cache = nncore.attention_forward(x0, segs, params.wq, params.wk, params.wv)
+    x1 += x0  # residual, in place: the attention output is not kept
+    x2, ffn_cache = nncore.ffn_forward(x1, params.w1, params.b1, params.w2, params.b2)
+    x2 += x1
+    vecs = np.empty((len(seqs), x2.shape[1]), dtype=x2.dtype)
+    vecs[order] = nncore.mean_pool_masked(x2, segs)
+    return vecs, EncodeCache(order=order, segs=segs, embed_cache=embed_cache,
+                             attn_cache=attn_cache, ffn_cache=ffn_cache)
+
+
+def encode_batch_backward(d_vecs: np.ndarray, cache: EncodeCache) -> None:
+    d_x2 = nncore.mean_pool_backward(d_vecs[cache.order], cache.segs)
+    d_x1 = nncore.ffn_backward(d_x2, cache.ffn_cache)
+    d_x1 += d_x2
+    d_x0 = nncore.attention_backward(d_x1, cache.attn_cache)
+    d_x0 += d_x1
+    nncore.embed_backward(d_x0, cache.embed_cache)
 
 
 def encode_forward(seq: TokenSeq, params: EncoderParams):
-    """Embed + one residual attention/FFN block + masked mean pooling."""
-    prefix = _valid_prefix(seq)
-    x0, embed_cache = nncore.embed_forward(prefix, params.emb, params.pos)
-    attn, attn_cache = nncore.attention_forward(x0, prefix.mask, params.wq,
-                                                params.wk, params.wv)
-    x1 = x0 + attn
-    ffn, ffn_cache = nncore.ffn_forward(x1, params.w1, params.b1, params.w2, params.b2)
-    x2 = x1 + ffn
-    vec = nncore.mean_pool_masked(x2, prefix.mask)
-    return vec, EncodeCache(mask=prefix.mask, embed_cache=embed_cache,
-                            attn_cache=attn_cache, ffn_cache=ffn_cache)
+    """One sequence through the packed pass; returns (d-vector, cache)."""
+    vecs, cache = encode_batch_forward([seq], params)
+    return vecs[0], cache
 
 
 def encode_backward(d_vec: np.ndarray, cache: EncodeCache) -> None:
-    d_x2 = nncore.mean_pool_backward(d_vec, cache.mask)
-    d_x1 = d_x2 + nncore.ffn_backward(d_x2, cache.ffn_cache)
-    d_x0 = d_x1 + nncore.attention_backward(d_x1, cache.attn_cache)
-    nncore.embed_backward(d_x0, cache.embed_cache)
+    encode_batch_backward(d_vec[None, :], cache)
 
 
 def encode(seq: TokenSeq, params: EncoderParams) -> np.ndarray:
@@ -111,14 +126,8 @@ def encode(seq: TokenSeq, params: EncoderParams) -> np.ndarray:
 
 
 def encode_labels_forward(labels: LabelSet, params: EncoderParams):
-    """Stack encode(seq) for every class; returns (K x d matrix, caches)."""
-    vecs = []
-    caches = []
-    for seq in labels.token_seqs:
-        vec, cache = encode_forward(seq, params)
-        vecs.append(vec)
-        caches.append(cache)
-    return np.stack(vecs), caches
+    """Every label phrase in one packed pass; returns (K x d matrix, cache)."""
+    return encode_batch_forward(labels.token_seqs, params)
 
 
 def encode_labels(labels: LabelSet, params: EncoderParams) -> np.ndarray:
@@ -126,6 +135,5 @@ def encode_labels(labels: LabelSet, params: EncoderParams) -> np.ndarray:
     return matrix
 
 
-def encode_labels_backward(d_matrix: np.ndarray, caches: list[EncodeCache]) -> None:
-    for k, cache in enumerate(caches):
-        encode_backward(d_matrix[k], cache)
+def encode_labels_backward(d_matrix: np.ndarray, cache: EncodeCache) -> None:
+    encode_batch_backward(d_matrix, cache)

@@ -12,6 +12,10 @@ Three modes:
 * "dot": temperature-scaled matching score, logits[k] = exp(s) * (t . L[k]),
   with a learnable log inverse-temperature s; exp(s) is clamped to at
   most 100.
+
+Each rule is written once, in score_forward and score_backward, over a
+(B, d) batch of sentence vectors giving (B, K) logits; a single (d,) vector
+gives (K,) logits.
 """
 
 from __future__ import annotations
@@ -48,80 +52,87 @@ class FusionHead:
 class FusionCache:
     mode: str
     head: FusionHead
-    t: np.ndarray
+    t: np.ndarray                      # (B, d)
     labels: np.ndarray | None = None
-    fused: np.ndarray | None = None    # add: t + L, pre-relu
+    fused: np.ndarray | None = None    # add: t + L per (example, class), pre-relu
     scale: float = 0.0                 # dot: clamped exp(s)
     scale_clamped: bool = False
 
 
-def _require(head: FusionHead, mode: str, t: np.ndarray,
-             labels: np.ndarray | None) -> None:
+def _require_labels(head: FusionHead, t: np.ndarray, labels: np.ndarray) -> None:
+    if labels.shape[1] != t.shape[-1]:
+        raise ValueError(f"label matrix dim {labels.shape[1]} vs sentence dim {t.shape[-1]}")
+    if head.mode == "add" and labels.shape[0] != head.b_out.value.shape[0]:
+        raise ValueError(f"label matrix has {labels.shape[0]} rows, head expects "
+                         f"{head.b_out.value.shape[0]}")
+
+
+def _score_as(mode: str, t: np.ndarray, labels: np.ndarray | None,
+              head: FusionHead) -> np.ndarray:
     if head.mode != mode:
         raise ValueError(f"head is {head.mode!r}, not {mode!r}")
-    if labels is not None:
-        if labels.shape[1] != t.shape[0]:
-            raise ValueError(f"label matrix dim {labels.shape[1]} vs sentence dim {t.shape[0]}")
-        if head.mode == "add" and labels.shape[0] != head.b_out.value.shape[0]:
-            raise ValueError(f"label matrix has {labels.shape[0]} rows, head expects "
-                             f"{head.b_out.value.shape[0]}")
+    return score_forward(t, labels, head)[0]
 
 
 def score_baseline(t: np.ndarray, head: FusionHead) -> np.ndarray:
-    _require(head, "none", t, None)
-    return head.w_out.value @ t + head.b_out.value
+    return _score_as("none", t, None, head)
 
 
 def score_add(t: np.ndarray, labels: np.ndarray, head: FusionHead) -> np.ndarray:
-    _require(head, "add", t, labels)
-    return np.maximum(t + labels, 0) @ head.w_mix.value + head.b_out.value
+    return _score_as("add", t, labels, head)
 
 
 def score_dot(t: np.ndarray, labels: np.ndarray, head: FusionHead) -> np.ndarray:
-    _require(head, "dot", t, labels)
-    scale = min(float(np.exp(head.log_scale.value[0])), MAX_DOT_SCALE)
-    return scale * (labels @ t)
+    return _score_as("dot", t, labels, head)
 
 
 def score_forward(t: np.ndarray, labels: np.ndarray | None, head: FusionHead):
     """Dispatch on head.mode; returns (logits, cache) for the backward pass."""
+    if head.mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {head.mode!r}")
+    tb = np.atleast_2d(t)
+    if head.mode != "none":
+        if labels is None:
+            raise ValueError(f"{head.mode!r} fusion needs a label matrix")
+        _require_labels(head, tb, labels)
     if head.mode == "none":
-        return score_baseline(t, head), FusionCache(mode="none", head=head, t=t)
-    if labels is None:
-        raise ValueError(f"{head.mode!r} fusion needs a label matrix")
-    if head.mode == "add":
-        _require(head, "add", t, labels)
-        fused = t + labels
+        logits = tb @ head.w_out.value.T + head.b_out.value
+        cache = FusionCache(mode="none", head=head, t=tb)
+    elif head.mode == "add":
+        fused = tb[:, None, :] + labels[None, :, :]
         logits = np.maximum(fused, 0) @ head.w_mix.value + head.b_out.value
-        return logits, FusionCache(mode="add", head=head, t=t, labels=labels, fused=fused)
-    if head.mode == "dot":
-        _require(head, "dot", t, labels)
+        cache = FusionCache(mode="add", head=head, t=tb, labels=labels, fused=fused)
+    else:
         raw = float(np.exp(head.log_scale.value[0]))
         clamped = raw > MAX_DOT_SCALE
         scale = MAX_DOT_SCALE if clamped else raw
-        logits = scale * (labels @ t)
-        return logits, FusionCache(mode="dot", head=head, t=t, labels=labels,
-                                   scale=scale, scale_clamped=clamped)
-    raise ValueError(f"unknown fusion mode {head.mode!r}")
+        logits = scale * (tb @ labels.T)
+        cache = FusionCache(mode="dot", head=head, t=tb, labels=labels,
+                            scale=scale, scale_clamped=clamped)
+    return (logits[0] if t.ndim == 1 else logits), cache
 
 
 def score_backward(d_logits: np.ndarray, cache: FusionCache):
-    """Accumulate head gradients; returns (d_t, d_labels or None)."""
+    """Accumulate head gradients; returns (d_t, d_labels or None), d_t shaped
+    like the t given to score_forward and d_labels summed over the batch."""
     head = cache.head
+    d = np.atleast_2d(d_logits)
+    d_labels = None
     if cache.mode == "none":
-        head.w_out.grad += np.outer(d_logits, cache.t)
-        head.b_out.grad += d_logits
-        return head.w_out.value.T @ d_logits, None
-    if cache.mode == "add":
+        head.w_out.grad += d.T @ cache.t
+        head.b_out.grad += d.sum(axis=0)
+        d_t = d @ head.w_out.value
+    elif cache.mode == "add":
         relu = np.maximum(cache.fused, 0)
-        head.w_mix.grad += relu.T @ d_logits
-        head.b_out.grad += d_logits
-        d_fused = np.outer(d_logits, head.w_mix.value) * (cache.fused > 0)
-        return d_fused.sum(axis=0), d_fused
-    # dot
-    dots = cache.labels @ cache.t
-    if not cache.scale_clamped:  # clamp active -> zero gradient into s
-        head.log_scale.grad += cache.scale * float(d_logits @ dots)
-    d_t = cache.scale * (cache.labels.T @ d_logits)
-    d_labels = cache.scale * np.outer(d_logits, cache.t)
-    return d_t, d_labels
+        head.w_mix.grad += relu.reshape(-1, relu.shape[2]).T @ d.reshape(-1)
+        head.b_out.grad += d.sum(axis=0)
+        d_fused = d[:, :, None] * head.w_mix.value * (cache.fused > 0)
+        d_t = d_fused.sum(axis=1)
+        d_labels = d_fused.sum(axis=0)
+    else:
+        if not cache.scale_clamped:  # clamp active -> zero gradient into s
+            dots = cache.t @ cache.labels.T
+            head.log_scale.grad += cache.scale * float((d * dots).sum())
+        d_t = cache.scale * (d @ cache.labels)
+        d_labels = cache.scale * (d.T @ cache.t)
+    return (d_t[0] if d_logits.ndim == 1 else d_t), d_labels

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .corpus import Example, TokenSeq, make_dataset, tokenize
-from .encoder import encode_forward, encode_labels_forward
+from .corpus import Example, make_dataset, tokenize
+from .encoder import encode_batch_forward
 from .errors import VerificationError
 from .fusion import FusionHead, score_backward, score_forward
 from .nncore import GradCheckReport, ParamTensor, finite_diff_check
-from .trainer import Model, TrainConfig, batch_step, build_model
+from .trainer import Model, TrainConfig, batch_step, build_model, forward
 
 LAYER_THRESHOLD = 1e-6
 MODEL_THRESHOLD = 1e-3
@@ -45,45 +45,39 @@ def _param(rng: np.random.Generator, name: str, shape) -> ParamTensor:
     return ParamTensor(name, rng.uniform(-0.5, 0.5, size=shape))
 
 
-def _seq(ids, true_len: int) -> TokenSeq:
-    ids = np.asarray(ids, dtype=np.int64)
-    mask = np.zeros(len(ids), dtype=bool)
-    mask[:true_len] = True
-    return TokenSeq(ids=ids, mask=mask, true_len=true_len)
-
-
 def check_embedding() -> GradCheckReport:
     rng = _rng(11)
     v, d = 7, 5
     emb = _param(rng, "emb", (v, d))
-    pos = _param(rng, "pos", (6, d))
-    seq = _seq([3, 3, 1, 6, 0, 0], true_len=4)  # duplicate ids accumulate
+    pos = _param(rng, "pos", (4, d))
+    segs = nncore.segments([4, 2])
+    ids = np.array([3, 3, 1, 6, 1, 3])  # duplicate ids within and across segments
     proj = rng.uniform(-1, 1, size=(6, d))
 
     def loss() -> float:
-        out, _ = nncore.embed_forward(seq, emb, pos)
+        out, _ = nncore.embed_forward(ids, segs.positions, emb, pos)
         return float((proj * out).sum())
 
-    out, cache = nncore.embed_forward(seq, emb, pos)
+    out, cache = nncore.embed_forward(ids, segs.positions, emb, pos)
     nncore.embed_backward(proj, cache)
     return finite_diff_check("embedding", loss, [emb, pos])
 
 
 def check_attention() -> GradCheckReport:
     rng = _rng(12)
-    m, d = 6, 5
-    x = _param(rng, "x", (m, d))
+    d = 5
+    segs = nncore.segments([2, 2, 3, 1])  # a two-segment run, then two single ones
+    x = _param(rng, "x", (8, d))
     wq = _param(rng, "wq", (d, d))
     wk = _param(rng, "wk", (d, d))
     wv = _param(rng, "wv", (d, d))
-    mask = np.array([True, True, True, True, False, False])
-    proj = rng.uniform(-1, 1, size=(m, d)) * mask[:, None]
+    proj = rng.uniform(-1, 1, size=(8, d))
 
     def loss() -> float:
-        out, _ = nncore.attention_forward(x.value, mask, wq, wk, wv)
+        out, _ = nncore.attention_forward(x.value, segs, wq, wk, wv)
         return float((proj * out).sum())
 
-    out, cache = nncore.attention_forward(x.value, mask, wq, wk, wv)
+    out, cache = nncore.attention_forward(x.value, segs, wq, wk, wv)
     x.grad += nncore.attention_backward(proj, cache)
     return finite_diff_check("attention", loss, [x, wq, wk, wv])
 
@@ -115,27 +109,27 @@ def check_ffn() -> GradCheckReport:
 
 def check_mean_pool() -> GradCheckReport:
     rng = _rng(14)
-    m, d = 6, 5
-    x = _param(rng, "x", (m, d))
-    mask = np.array([True, True, True, False, False, False])
-    proj = rng.uniform(-1, 1, size=d)
+    d = 5
+    segs = nncore.segments([3, 1, 2])
+    x = _param(rng, "x", (6, d))
+    proj = rng.uniform(-1, 1, size=(3, d))
 
     def loss() -> float:
-        return float(proj @ nncore.mean_pool_masked(x.value, mask))
+        return float((proj * nncore.mean_pool_masked(x.value, segs)).sum())
 
-    x.grad += nncore.mean_pool_backward(proj, mask)
+    x.grad += nncore.mean_pool_backward(proj, segs)
     return finite_diff_check("mean_pool", loss, [x])
 
 
 def check_cross_entropy() -> GradCheckReport:
     rng = _rng(15)
-    logits = _param(rng, "logits", (6,))
-    target = 2
+    logits = _param(rng, "logits", (3, 6))
+    targets = np.array([2, 0, 5])
 
     def loss() -> float:
-        return nncore.cross_entropy(logits.value, target)[0]
+        return float(nncore.cross_entropy(logits.value, targets)[0].sum())
 
-    _, grad = nncore.cross_entropy(logits.value, target)
+    _, grad = nncore.cross_entropy(logits.value, targets)
     logits.grad += grad
     return finite_diff_check("cross_entropy", loss, [logits])
 
@@ -152,22 +146,23 @@ def _make_head(mode: str, rng: np.random.Generator, k: int, d: int) -> FusionHea
 
 
 def check_head(mode: str) -> GradCheckReport:
-    k, d = 4, 5
+    b, k, d = 3, 4, 5
     for seed in range(16, 16 + 50):
         rng = _rng(seed)
-        t = _param(rng, "t", (d,))
+        t = _param(rng, "t", (b, d))
         labels = _param(rng, "labels", (k, d))
         head = _make_head(mode, rng, k, d)
-        if mode != "add" or np.abs(t.value + labels.value).min() > RELU_MARGIN:
+        fused = t.value[:, None, :] + labels.value[None, :, :]
+        if mode != "add" or np.abs(fused).min() > RELU_MARGIN:
             break
     else:
         raise VerificationError("no relu-safe head instance found")
-    proj = rng.uniform(-1, 1, size=k)
+    proj = rng.uniform(-1, 1, size=(b, k))
     consulted = None if mode == "none" else labels
 
     def loss() -> float:
         logits, _ = score_forward(t.value, None if consulted is None else consulted.value, head)
-        return float(proj @ logits)
+        return float((proj * logits).sum())
 
     logits, cache = score_forward(t.value, None if consulted is None else consulted.value, head)
     d_t, d_labels = score_backward(proj, cache)
@@ -192,6 +187,17 @@ def _min_shift(values: np.ndarray, margin: float) -> float:
         delta = 2 * margin - float(offending.min())
 
 
+def _relu_inputs(model: Model, seqs) -> tuple[np.ndarray, np.ndarray | None]:
+    """The FFN preactivations of every text and label row, and for the
+    additive head the fused text+label vectors (else None)."""
+    vecs, cache = encode_batch_forward(list(seqs) + list(model.labels.token_seqs), model.enc)
+    fused = None
+    if model.head.mode == "add":
+        n = len(seqs)
+        fused = (vecs[:n, None, :] + vecs[None, n:, :]).reshape(-1, vecs.shape[1])
+    return cache.ffn_cache.pre, fused
+
+
 def _nudge_relu_safe(model: Model, seqs, margin: float) -> None:
     """Shift biases so no relu preactivation sits within `margin` of its kink.
 
@@ -200,20 +206,13 @@ def _nudge_relu_safe(model: Model, seqs, margin: float) -> None:
     vector coordinate j, moving the fused values by twice the shift. Both
     adjustments are exact up to rounding, so a couple of passes converge.
     """
-    all_seqs = list(seqs) + list(model.labels.token_seqs)
     for _ in range(10):
-        pres = []
-        for seq in all_seqs:
-            _, cache = encode_forward(seq, model.enc)
-            pres.append(cache.ffn_cache.pre)
-        pre = np.concatenate(pres, axis=0)
+        pre, _ = _relu_inputs(model, seqs)
         for j in range(pre.shape[1]):
             model.enc.b1.value[j] += _min_shift(pre[:, j], margin)
 
         if model.head.mode == "add":
-            matrix, _ = encode_labels_forward(model.labels, model.enc)
-            vecs = np.stack([encode_forward(seq, model.enc)[0] for seq in seqs])
-            fused = (vecs[:, None, :] + matrix[None, :, :]).reshape(-1, matrix.shape[1])
+            _, fused = _relu_inputs(model, seqs)
             for j in range(fused.shape[1]):
                 model.enc.b2.value[j] += _min_shift(fused[:, j], margin) / 2.0
 
@@ -259,31 +258,14 @@ def _gradcheck_batch(model: Model, dataset):
 
 
 def _min_relu_margin(model: Model, seqs) -> float:
-    margin = np.inf
-    all_seqs = list(seqs) + list(model.labels.token_seqs)
-    vecs = []
-    for seq in all_seqs:
-        vec, cache = encode_forward(seq, model.enc)
-        margin = min(margin, float(np.abs(cache.ffn_cache.pre).min()))
-        vecs.append(vec)
-    if model.head.mode == "add":
-        matrix, _ = encode_labels_forward(model.labels, model.enc)
-        for vec in vecs[: len(seqs)]:
-            margin = min(margin, float(np.abs(vec + matrix).min()))
-    return margin
+    return min(float(np.abs(a).min()) for a in _relu_inputs(model, seqs) if a is not None)
 
 
 def batch_loss(model: Model, seqs, targets) -> float:
-    """Mean cross-entropy of the batch, forward passes only."""
-    matrix = None
-    if model.head.mode != "none":
-        matrix, _ = encode_labels_forward(model.labels, model.enc)
-    total = 0.0
-    for seq, target in zip(seqs, targets):
-        vec, _ = encode_forward(seq, model.enc)
-        logits, _ = score_forward(vec, matrix, model.head)
-        total += nncore.cross_entropy(logits, target)[0]
-    return total / len(seqs)
+    """Mean cross-entropy of the batch, forward pass only."""
+    logits, _ = forward(model, seqs)
+    losses, _ = nncore.cross_entropy(logits, np.asarray(targets))
+    return float(losses.mean())
 
 
 def check_full_model(mode: str, dim: int = 8, max_len: int = 6,

@@ -3,17 +3,17 @@
 Each forward returns (output, cache); the matching backward consumes the
 cache, accumulates parameter gradients into ParamTensor.grad, and returns
 the gradient w.r.t. its input. Nothing here allocates optimizer state or
-touches global state, so batch gradients are exact sums of per-example
-contributions in whatever order the caller runs them.
+touches global state.
 
 Arrays keep the dtype of the parameters they are built from: float32 for
 training, float64 when a model is built for gradient checking.
 
-Padding discipline: masked positions never enter any arithmetic. Attention
-gathers the valid rows before computing (equivalent to setting masked key
-columns to -inf before the row softmax, since those keys would get exactly
-zero weight), and pooling sums gathered rows only. Appending pad positions
-therefore cannot perturb valid outputs even at the last bit.
+Packing: the encoder stacks the valid rows of many sequences back to back
+in one array, and `Segments` records where each sequence starts. Row-wise
+layers (embedding, FFN) run once over all rows. Attention runs once per run
+of equal-length segments as a batched matmul, and pooling sums each
+segment's own rows. No padding row exists, so no sequence's output can be
+perturbed by padding or by the other sequences in its pack.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenSeq
 from .errors import DataError
 
 
@@ -57,94 +56,137 @@ class GradCheckReport:
     worst_index: int  # flat index into the concatenated parameter vector
 
 
+# --- packed layout ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Segments:
+    """Sequences packed back to back into the rows of one array.
+
+    Segment i occupies rows starts[i] : starts[i] + lengths[i], and its j-th
+    row sits at position j. `runs` lists the maximal stretches of consecutive
+    equal-length segments as (first row, segment count, length); attention
+    treats each stretch as one (count, length, d) block.
+    """
+
+    lengths: np.ndarray
+    starts: np.ndarray
+    positions: np.ndarray
+    runs: tuple[tuple[int, int, int], ...]
+
+
+def segments(lengths) -> Segments:
+    """Layout of segments with these lengths, packed in the order given."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size == 0 or int(lengths.min()) < 1:
+        raise DataError("every packed sequence needs at least one valid position")
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    positions = np.arange(ends[-1]) - np.repeat(starts, lengths)
+    first = np.flatnonzero(np.concatenate(([True], lengths[1:] != lengths[:-1])))
+    counts = np.diff(np.append(first, lengths.size))
+    runs = tuple((int(starts[f]), int(c), int(lengths[f])) for f, c in zip(first, counts))
+    return Segments(lengths=lengths, starts=starts, positions=positions, runs=runs)
+
+
+def _scatter_add(grad: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """grad[index[r]] += rows[r]; rows sharing an index are summed in row order
+    first, so each touched row of grad takes one addition."""
+    order = np.argsort(index, kind="stable")
+    sorted_index = index[order]
+    first = np.flatnonzero(np.concatenate(([True], sorted_index[1:] != sorted_index[:-1])))
+    grad[sorted_index[first]] += np.add.reduceat(rows[order], first, axis=0)
+
+
 # --- embedding ----------------------------------------------------------------
 
 @dataclass
 class EmbedCache:
     ids: np.ndarray
+    positions: np.ndarray
     emb: ParamTensor
     pos: ParamTensor
 
 
-def embed_forward(seq: TokenSeq, emb: ParamTensor, pos: ParamTensor):
-    """Row i of the output is emb[ids[i]] + pos[i].
-
-    Accepts sequences no longer than the position table; the encoder feeds
-    it the valid prefix of each TokenSeq.
-    """
+def embed_forward(ids: np.ndarray, positions: np.ndarray,
+                  emb: ParamTensor, pos: ParamTensor):
+    """Row r of the output is emb[ids[r]] + pos[positions[r]]."""
     vocab_size = emb.value.shape[0]
-    if int(seq.ids.max()) >= vocab_size:
-        raise DataError(f"token id {int(seq.ids.max())} out of range for V={vocab_size}")
-    n = len(seq.ids)
-    if n > pos.value.shape[0]:
-        raise DataError(f"sequence length {n} exceeds position table {pos.value.shape[0]}")
-    out = emb.value[seq.ids] + pos.value[:n]
-    return out, EmbedCache(ids=seq.ids, emb=emb, pos=pos)
+    if int(ids.max()) >= vocab_size:
+        raise DataError(f"token id {int(ids.max())} out of range for V={vocab_size}")
+    if int(positions.max()) >= pos.value.shape[0]:
+        raise DataError(f"sequence length {int(positions.max()) + 1} exceeds position "
+                        f"table {pos.value.shape[0]}")
+    out = emb.value[ids] + pos.value[positions]
+    return out, EmbedCache(ids=ids, positions=positions, emb=emb, pos=pos)
 
 
 def embed_backward(d_out: np.ndarray, cache: EmbedCache) -> None:
-    # duplicate ids accumulate, in position order
-    np.add.at(cache.emb.grad, cache.ids, d_out)
-    cache.pos.grad[: d_out.shape[0]] += d_out
+    _scatter_add(cache.emb.grad, cache.ids, d_out)
+    _scatter_add(cache.pos.grad, cache.positions, d_out)
 
 
 # --- attention ------------------------------------------------------------------
 
 @dataclass
 class AttnCache:
-    mask: np.ndarray
-    xv: np.ndarray       # valid rows of the input
+    segs: Segments
+    x: np.ndarray
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    weights: np.ndarray  # row softmax over valid keys
+    weights: list        # per run: (count, length, length) row softmaxes
     scale: float
     wq: ParamTensor
     wk: ParamTensor
     wv: ParamTensor
 
 
-def attention_forward(x: np.ndarray, mask: np.ndarray,
+def attention_forward(x: np.ndarray, segs: Segments,
                       wq: ParamTensor, wk: ParamTensor, wv: ParamTensor):
-    """Single-head scaled dot-product attention over the unmasked positions.
+    """Single-head scaled dot-product attention within each segment.
 
-    Output rows at masked positions are zero; they carry no information and
-    must be excluded from pooling downstream.
+    A row attends to every row of its own segment and to no other row.
     """
-    if not mask.any():
-        raise DataError("attention over a fully masked sequence")
     d = x.shape[1]
     scale = 1.0 / math.sqrt(d)
-    xv = x[mask]
-    q = xv @ wq.value
-    k = xv @ wk.value
-    v = xv @ wv.value
-    scores = (q @ k.T) * scale
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    weights = e / e.sum(axis=1, keepdims=True)
-    out = np.zeros_like(x)
-    out[mask] = weights @ v
-    return out, AttnCache(mask=mask, xv=xv, q=q, k=k, v=v, weights=weights,
+    q = x @ wq.value
+    k = x @ wk.value
+    v = x @ wv.value
+    out = np.empty_like(v)
+    weights = []
+    for lo, count, length in segs.runs:
+        hi = lo + count * length
+        block = (count, length, d)
+        scores = q[lo:hi].reshape(block) @ k[lo:hi].reshape(block).transpose(0, 2, 1)
+        scores *= scale
+        scores -= scores.max(axis=2, keepdims=True)
+        e = np.exp(scores)
+        w = e / e.sum(axis=2, keepdims=True)
+        out[lo:hi] = (w @ v[lo:hi].reshape(block)).reshape(-1, d)
+        weights.append(w)
+    return out, AttnCache(segs=segs, x=x, q=q, k=k, v=v, weights=weights,
                           scale=scale, wq=wq, wk=wk, wv=wv)
 
 
 def attention_backward(d_out: np.ndarray, cache: AttnCache) -> np.ndarray:
-    d_ov = d_out[cache.mask]
-    w = cache.weights
-    d_v = w.T @ d_ov
-    d_w = d_ov @ cache.v.T
-    d_scores = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
-    d_scores *= cache.scale
-    d_q = d_scores @ cache.k
-    d_k = d_scores.T @ cache.q
-    cache.wq.grad += cache.xv.T @ d_q
-    cache.wk.grad += cache.xv.T @ d_k
-    cache.wv.grad += cache.xv.T @ d_v
-    d_xv = d_q @ cache.wq.value.T + d_k @ cache.wk.value.T + d_v @ cache.wv.value.T
-    d_x = np.zeros((cache.mask.shape[0], d_xv.shape[1]), dtype=d_xv.dtype)
-    d_x[cache.mask] = d_xv
-    return d_x
+    d = d_out.shape[1]
+    d_q = np.empty_like(d_out)
+    d_k = np.empty_like(d_out)
+    d_v = np.empty_like(d_out)
+    for (lo, count, length), w in zip(cache.segs.runs, cache.weights):
+        hi = lo + count * length
+        block = (count, length, d)
+        d_o = d_out[lo:hi].reshape(block)
+        d_v[lo:hi] = (w.transpose(0, 2, 1) @ d_o).reshape(-1, d)
+        d_w = d_o @ cache.v[lo:hi].reshape(block).transpose(0, 2, 1)
+        d_scores = w * (d_w - (d_w * w).sum(axis=2, keepdims=True))
+        d_scores *= cache.scale
+        d_q[lo:hi] = (d_scores @ cache.k[lo:hi].reshape(block)).reshape(-1, d)
+        d_k[lo:hi] = (d_scores.transpose(0, 2, 1) @ cache.q[lo:hi].reshape(block)).reshape(-1, d)
+    cache.wq.grad += cache.x.T @ d_q
+    cache.wk.grad += cache.x.T @ d_k
+    cache.wv.grad += cache.x.T @ d_v
+    return d_q @ cache.wq.value.T + d_k @ cache.wk.value.T + d_v @ cache.wv.value.T
 
 
 # --- position-wise feed-forward ----------------------------------------------
@@ -172,25 +214,27 @@ def ffn_forward(x: np.ndarray, w1: ParamTensor, b1: ParamTensor,
 def ffn_backward(d_out: np.ndarray, cache: FfnCache) -> np.ndarray:
     cache.w2.grad += cache.hidden.T @ d_out
     cache.b2.grad += d_out.sum(axis=0)
-    d_hidden = d_out @ cache.w2.value.T
-    d_pre = d_hidden * (cache.pre > 0)  # relu'(0) taken as 0
+    d_pre = d_out @ cache.w2.value.T
+    d_pre *= cache.pre > 0  # relu'(0) taken as 0
     cache.w1.grad += cache.x.T @ d_pre
     cache.b1.grad += d_pre.sum(axis=0)
     return d_pre @ cache.w1.value.T
 
 
-# --- masked mean pooling --------------------------------------------------------
+# --- segment mean pooling -------------------------------------------------------
 
-def mean_pool_masked(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    if not mask.any():
-        raise DataError("mean pool over a fully masked sequence")
-    return x[mask].sum(axis=0) / mask.sum()
+def _counts(segs: Segments, dtype) -> np.ndarray:
+    # cast, or an int64 divisor would promote float32 rows to float64
+    return segs.lengths.astype(dtype)[:, None]
 
 
-def mean_pool_backward(d_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    d_x = np.zeros((mask.shape[0], d_vec.shape[0]), dtype=d_vec.dtype)
-    d_x[mask] = d_vec / mask.sum()
-    return d_x
+def mean_pool_masked(x: np.ndarray, segs: Segments) -> np.ndarray:
+    """Mean of each segment's rows, one output row per segment."""
+    return np.add.reduceat(x, segs.starts, axis=0) / _counts(segs, x.dtype)
+
+
+def mean_pool_backward(d_vecs: np.ndarray, segs: Segments) -> np.ndarray:
+    return np.repeat(d_vecs / _counts(segs, d_vecs.dtype), segs.lengths, axis=0)
 
 
 # --- classifier-side scalar ops --------------------------------------------------
@@ -206,16 +250,26 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def cross_entropy(logits: np.ndarray, target: int):
-    """Returns (loss, d_loss/d_logits) for loss = -log softmax(logits)[target]."""
-    k = logits.shape[0]
-    if not 0 <= target < k:
-        raise DataError(f"target {target} out of range for {k} classes")
-    shifted = logits - logits.max()
-    log_z = math.log(np.exp(shifted).sum())
-    loss = log_z - float(shifted[target])
-    grad = np.exp(shifted - log_z)
-    grad[target] -= 1
+def cross_entropy(logits: np.ndarray, target):
+    """Returns (loss, d_loss/d_logits) for loss = -log softmax(logits)[target].
+
+    Row-wise over a (B, K) logits array with B targets, giving B losses; a
+    single (K,) row with an int target gives a float loss.
+    """
+    z = np.atleast_2d(logits)
+    targets = np.atleast_1d(target)
+    k = z.shape[1]
+    bad = targets[(targets < 0) | (targets >= k)]
+    if bad.size:
+        raise DataError(f"target {int(bad[0])} out of range for {k} classes")
+    rows = np.arange(z.shape[0])
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    loss = log_z - shifted[rows, targets]
+    grad = np.exp(shifted - log_z[:, None])
+    grad[rows, targets] -= 1
+    if np.ndim(logits) == 1:
+        return float(loss[0]), grad[0]
     return loss, grad
 
 

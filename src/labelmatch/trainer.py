@@ -15,10 +15,11 @@ runs are reproducible across implementations, not just across processes:
   from n-1 down to 1 and swaps with j = out(n-1-i) mod (i+1).
 
 Training is single-threaded and bit-deterministic: batches are consecutive
-slices of the epoch permutation, per-example gradients accumulate in example
-order, the label path (when fusion consults labels) accumulates after the
-text path of the whole batch, and Adam updates parameters in declaration
-order with gradients averaged over the batch.
+slices of the epoch permutation. Each step runs one packed forward/backward
+(see encoder): the batch's texts and, when fusion consults labels, the K
+label phrases go through the encoder in the same pass, packed in a stable
+length-sorted order that depends only on the batch. Adam then updates
+parameters in declaration order with gradients averaged over the batch.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -35,18 +36,16 @@ Checkpoint file layout (little-endian throughout):
 from __future__ import annotations
 
 import math
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import (Dataset, TokenSeq, Vocabulary, build_vocab, tokenize,
                      verbalize_label, vocab_fingerprint)
-from .encoder import (EncoderParams, LabelSet, encode_backward, encode_forward,
-                      encode_labels_backward, encode_labels_forward)
+from .encoder import (EncoderParams, LabelSet, encode_batch_backward,
+                      encode_batch_forward, encode_forward, encode_labels_forward)
 from .errors import CheckpointError, DataError, TrainingError
 from .fusion import FUSION_MODES, FusionHead, score_backward, score_forward
 from .nncore import ParamTensor, cross_entropy
@@ -276,34 +275,28 @@ def _uses_labels(mode: str) -> bool:
     return mode != "none"
 
 
+def forward(model: Model, seqs: list[TokenSeq]):
+    """Logits (len(seqs) x K) from one packed encoder pass over the texts
+    and, when the head consults labels, the K label phrases."""
+    n = len(seqs)
+    phrases = list(model.labels.token_seqs) if _uses_labels(model.head.mode) else []
+    vecs, encode_cache = encode_batch_forward(list(seqs) + phrases, model.enc)
+    logits, score_cache = score_forward(vecs[:n], vecs[n:] if phrases else None, model.head)
+    return logits, (encode_cache, score_cache)
+
+
 def batch_step(model: Model, seqs: list[TokenSeq], targets: list[int]) -> list[float]:
     """Forward/backward over one mini-batch; grads = mean over its examples.
 
     Returns the per-example losses. Does not run the optimizer.
     """
-    batch = len(seqs)
-    scale = 1.0 / batch
-    label_matrix = None
-    label_caches = None
-    d_label_total = None
-    if _uses_labels(model.head.mode):
-        label_matrix, label_caches = encode_labels_forward(model.labels, model.enc)
-        d_label_total = np.zeros_like(label_matrix)
-
-    losses = []
-    for seq, target in zip(seqs, targets):
-        vec, enc_cache = encode_forward(seq, model.enc)
-        logits, fusion_cache = score_forward(vec, label_matrix, model.head)
-        loss, d_logits = cross_entropy(logits, target)
-        losses.append(loss)
-        d_logits *= scale
-        d_vec, d_labels = score_backward(d_logits, fusion_cache)
-        encode_backward(d_vec, enc_cache)
-        if d_labels is not None:
-            d_label_total += d_labels
-    if label_caches is not None:
-        encode_labels_backward(d_label_total, label_caches)
-    return losses
+    logits, (encode_cache, score_cache) = forward(model, seqs)
+    losses, d_logits = cross_entropy(logits, np.asarray(targets))
+    d_logits *= 1.0 / len(seqs)
+    d_t, d_labels = score_backward(d_logits, score_cache)
+    encode_batch_backward(d_t if d_labels is None else np.concatenate([d_t, d_labels]),
+                          encode_cache)
+    return losses.tolist()
 
 
 @dataclass
@@ -317,31 +310,21 @@ class EvalResult:
         return 100.0 * self.correct / self.total
 
 
-def _threads_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("LABELMATCH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def evaluate_seqs(model: Model, seqs: list[TokenSeq], targets: list[int],
                   label_names: tuple[str, ...]) -> EvalResult:
-    """Argmax accuracy over pre-tokenized examples (read-only on the model)."""
+    """Argmax accuracy over pre-tokenized examples (read-only on the model).
+
+    The label matrix is encoded once; texts go through the packed encoder in
+    chunks of config.batch_size, which bounds the activations held at once.
+    """
     matrix = None
     if _uses_labels(model.head.mode):
         matrix, _ = encode_labels_forward(model.labels, model.enc)
-
-    def predict(seq: TokenSeq) -> int:
-        vec, _ = encode_forward(seq, model.enc)
-        logits, _ = score_forward(vec, matrix, model.head)
-        return int(np.argmax(logits))
-
-    threads = _threads_from_env()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            preds = list(pool.map(predict, seqs, chunksize=64))
-    else:
-        preds = [predict(seq) for seq in seqs]
+    preds = []
+    for lo in range(0, len(seqs), model.config.batch_size):
+        vecs, _ = encode_batch_forward(seqs[lo:lo + model.config.batch_size], model.enc)
+        logits, _ = score_forward(vecs, matrix, model.head)
+        preds.extend(logits.argmax(axis=1).tolist())
 
     per_class = {name: [0, 0] for name in label_names}
     correct = 0

@@ -4,7 +4,7 @@ import pytest
 import labelmatch.encoder
 import labelmatch.trainer
 from labelmatch.corpus import Example, TokenSeq, load_dataset, make_dataset, tokenize
-from labelmatch.encoder import (LabelSet, encode, encode_forward, encode_labels,
+from labelmatch.encoder import (LabelSet, encode, encode_batch_forward, encode_labels,
                                 encode_labels_forward)
 from labelmatch.trainer import TrainConfig, batch_step, build_model
 
@@ -47,6 +47,19 @@ class TestEncode:
         short = seq_of(seq.ids[: seq.true_len], seq.true_len)
         np.testing.assert_array_equal(encode(short, tiny_model.enc),
                                       encode(seq, tiny_model.enc))
+
+    def test_vector_does_not_depend_on_batchmates(self, tiny_model):
+        # packing changes only the summation order, never which rows are summed
+        texts = ["green bird flies high today", "red fish", "red bird sings",
+                 "fish", "green fish sleeps", "red fish swims fast"]
+        seqs = [tokenize(t, tiny_model.vocab, 8) for t in texts]
+        batched, _ = encode_batch_forward(seqs + list(tiny_model.labels.token_seqs),
+                                          tiny_model.enc)
+        assert batched.dtype == np.float32
+        for seq, vec in zip(seqs, batched):
+            alone = encode(seq, tiny_model.enc)
+            np.testing.assert_allclose(vec, alone, rtol=1e-6,
+                                       atol=1e-7 * np.abs(alone).max())
 
     def test_permutation_sensitivity(self, tiny_model):
         rng = np.random.default_rng(21)
@@ -102,20 +115,22 @@ class TestEncodeLabels:
 class TestParameterSharing:
     def test_text_and_label_encoders_alias_one_parameter_set(self, tiny_model, monkeypatch):
         seen = []
-        original = labelmatch.encoder.encode_forward
+        original = labelmatch.encoder.encode_batch_forward
 
-        def spy(seq, params):
-            seen.append(id(params))
-            return original(seq, params)
+        def spy(seqs, params):
+            seen.append((id(params), [id(seq) for seq in seqs]))
+            return original(seqs, params)
 
-        monkeypatch.setattr(labelmatch.encoder, "encode_forward", spy)
-        monkeypatch.setattr(labelmatch.trainer, "encode_forward", spy)
+        monkeypatch.setattr(labelmatch.encoder, "encode_batch_forward", spy)
+        monkeypatch.setattr(labelmatch.trainer, "encode_batch_forward", spy)
         seqs = [tokenize("red fish swims", tiny_model.vocab, 8)]
         batch_step(tiny_model, seqs, [0])
         for p in tiny_model.parameters():
             p.zero_grad()
-        assert len(seen) >= 1 + tiny_model.labels.num_classes  # text + every label
-        assert set(seen) == {id(tiny_model.enc)}
+        assert {params for params, _ in seen} == {id(tiny_model.enc)}
+        encoded = {seq for _, batch in seen for seq in batch}
+        assert id(seqs[0]) in encoded
+        assert {id(seq) for seq in tiny_model.labels.token_seqs} <= encoded  # every label
 
     def test_label_matrix_recomputed_from_current_parameters(self, tiny_model):
         matrix_before, _ = encode_labels_forward(tiny_model.labels, tiny_model.enc)

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from labelmatch import nncore
-from labelmatch.corpus import TokenSeq
 from labelmatch.errors import DataError
 from labelmatch.nncore import (ParamTensor, attention_backward,
                                attention_forward, cross_entropy, embed_backward,
                                embed_forward, ffn_backward, ffn_forward,
                                finite_diff_check, mean_pool_backward,
-                               mean_pool_masked, softmax)
+                               mean_pool_masked, segments, softmax)
 
 
-def seq_of(ids, true_len):
+def embed(ids, emb, pos):
+    """Embed one sequence: positions 0..len-1."""
     ids = np.asarray(ids, dtype=np.int64)
-    mask = np.zeros(len(ids), dtype=bool)
-    mask[:true_len] = True
-    return TokenSeq(ids=ids, mask=mask, true_len=true_len)
+    return embed_forward(ids, np.arange(len(ids)), emb, pos)
 
 
 def param(rng, name, shape):
@@ -29,36 +27,35 @@ class TestEmbed:
         rng = np.random.default_rng(0)
         emb = ParamTensor("emb", rng.normal(size=(5, 3)))
         pos = ParamTensor("pos", np.zeros((2, 3)))
-        seq = seq_of([2, 2], true_len=2)
         upstream = rng.normal(size=(2, 3))
-        _, cache = embed_forward(seq, emb, pos)
+        _, cache = embed([2, 2], emb, pos)
         embed_backward(upstream, cache)
         np.testing.assert_array_equal(emb.grad[2], upstream[0] + upstream[1])
 
     def test_zero_embeddings_give_positions(self):
         emb = ParamTensor("emb", np.zeros((5, 3)))
         pos = ParamTensor("pos", np.random.default_rng(1).normal(size=(4, 3)))
-        out, _ = embed_forward(seq_of([0, 1, 2, 3], 4), emb, pos)
+        out, _ = embed([0, 1, 2, 3], emb, pos)
         np.testing.assert_array_equal(out, pos.value)
 
     def test_id_out_of_range(self):
         emb = ParamTensor("emb", np.zeros((3, 2)))
         pos = ParamTensor("pos", np.zeros((2, 2)))
         with pytest.raises(DataError, match="out of range"):
-            embed_forward(seq_of([0, 7], 2), emb, pos)
+            embed([0, 7], emb, pos)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         emb = param(rng, "emb", (6, 4))
         pos = param(rng, "pos", (5, 4))
-        seq = seq_of([1, 4, 1, 0, 5], 5)
+        ids = [1, 4, 1, 0, 5]
         proj = rng.uniform(-1, 1, size=(5, 4))
 
         def loss():
-            out, _ = embed_forward(seq, emb, pos)
+            out, _ = embed(ids, emb, pos)
             return float((proj * out).sum())
 
-        _, cache = embed_forward(seq, emb, pos)
+        _, cache = embed(ids, emb, pos)
         embed_backward(proj, cache)
         report = finite_diff_check("embed", loss, [emb, pos])
         assert report.max_rel_err < 1e-6
@@ -66,49 +63,48 @@ class TestEmbed:
 
 class TestAttention:
     def test_single_valid_position_returns_its_value_row(self):
+        # a length-1 segment attends only to itself, even packed before a longer one
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 5))
         wq, wk, wv = (param(rng, n, (5, 5)) for n in "qkv")
-        mask = np.array([True, False, False, False])
-        out, _ = attention_forward(x, mask, wq, wk, wv)
+        out, _ = attention_forward(x, segments([1, 3]), wq, wk, wv)
         np.testing.assert_allclose(out[0], x[0] @ wv.value, rtol=1e-12)
-        assert (out[1:] == 0).all()
 
     def test_identical_rows_give_uniform_attention(self):
         rng = np.random.default_rng(4)
         row = rng.normal(size=5)
         x = np.tile(row, (4, 1))
         wq, wk, wv = (param(rng, n, (5, 5)) for n in "qkv")
-        out, _ = attention_forward(x, np.ones(4, dtype=bool), wq, wk, wv)
+        out, _ = attention_forward(x, segments([4]), wq, wk, wv)
         np.testing.assert_allclose(out, np.tile(row @ wv.value, (4, 1)), rtol=1e-12)
 
     def test_appended_padding_is_bit_exact(self):
+        # rows of the next segment, whatever they hold, cannot reach this one
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 5))
         wq, wk, wv = (param(rng, n, (5, 5)) for n in "qkv")
-        out_short, _ = attention_forward(x, np.ones(3, dtype=bool), wq, wk, wv)
-        padded = np.vstack([x, rng.normal(size=(3, 5))])  # arbitrary junk rows
-        mask = np.array([True, True, True, False, False, False])
-        out_long, _ = attention_forward(padded, mask, wq, wk, wv)
-        np.testing.assert_array_equal(out_long[:3], out_short)
+        segs = segments([3, 3])
+        out_a, _ = attention_forward(np.vstack([x, rng.normal(size=(3, 5))]), segs, wq, wk, wv)
+        out_b, _ = attention_forward(np.vstack([x, rng.normal(size=(3, 5))]), segs, wq, wk, wv)
+        np.testing.assert_array_equal(out_a[:3], out_b[:3])
 
     def test_all_masked_rejected(self):
         wq = wk = wv = ParamTensor("w", np.eye(2))
         with pytest.raises(DataError):
-            attention_forward(np.zeros((2, 2)), np.zeros(2, dtype=bool), wq, wk, wv)
+            attention_forward(np.zeros((2, 2)), segments([2, 0]), wq, wk, wv)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        x = param(rng, "x", (4, 5))
+        x = param(rng, "x", (6, 5))
         wq, wk, wv = (param(rng, n, (5, 5)) for n in "qkv")
-        mask = np.array([True, True, True, False])
-        proj = rng.uniform(-1, 1, size=(4, 5)) * mask[:, None]
+        segs = segments([1, 1, 3, 1])
+        proj = rng.uniform(-1, 1, size=(6, 5))
 
         def loss():
-            out, _ = attention_forward(x.value, mask, wq, wk, wv)
+            out, _ = attention_forward(x.value, segs, wq, wk, wv)
             return float((proj * out).sum())
 
-        _, cache = attention_forward(x.value, mask, wq, wk, wv)
+        _, cache = attention_forward(x.value, segs, wq, wk, wv)
         x.grad += attention_backward(proj, cache)
         report = finite_diff_check("attn", loss, [x, wq, wk, wv])
         assert report.max_rel_err < 1e-6
@@ -161,29 +157,26 @@ class TestFfn:
 class TestMeanPool:
     def test_two_rows(self):
         x = np.array([[1.0], [3.0], [99.0]])
-        mask = np.array([True, True, False])
-        np.testing.assert_array_equal(mean_pool_masked(x, mask), [2.0])
+        np.testing.assert_array_equal(mean_pool_masked(x, segments([2, 1])), [[2.0], [99.0]])
 
     def test_identical_rows(self):
         v = np.array([0.5, -1.5, 2.0])
         x = np.tile(v, (4, 1))
-        np.testing.assert_array_equal(mean_pool_masked(x, np.ones(4, dtype=bool)), v)
+        np.testing.assert_array_equal(mean_pool_masked(x, segments([4])), [v])
 
     def test_pad_rows_ignored_bit_exact(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(3, 4))
-        short = mean_pool_masked(x, np.ones(3, dtype=bool))
+        short = mean_pool_masked(x, segments([3]))
         padded = np.vstack([x, rng.normal(size=(2, 4))])
-        mask = np.array([True, True, True, False, False])
-        np.testing.assert_array_equal(mean_pool_masked(padded, mask), short)
+        np.testing.assert_array_equal(mean_pool_masked(padded, segments([3, 2]))[:1], short)
 
     def test_all_masked_rejected(self):
         with pytest.raises(DataError):
-            mean_pool_masked(np.zeros((2, 2)), np.zeros(2, dtype=bool))
+            mean_pool_masked(np.zeros((2, 2)), segments([0, 2]))
 
     def test_backward_distributes_evenly(self):
-        mask = np.array([True, True, False])
-        d_x = mean_pool_backward(np.array([4.0, 8.0]), mask)
+        d_x = mean_pool_backward(np.array([[4.0, 8.0], [0.0, 0.0]]), segments([2, 1]))
         np.testing.assert_array_equal(d_x, [[2.0, 4.0], [2.0, 4.0], [0.0, 0.0]])
 
 

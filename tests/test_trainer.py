@@ -177,16 +177,6 @@ class TestEvaluate:
         assert result.per_class["color"] == (3, 3)
         assert result.per_class["animal"] == (3, 3)
 
-    def test_parallel_evaluation_matches_serial(self, toy_sets, monkeypatch):
-        train_set, _ = toy_sets
-        model, _ = train(TrainConfig(fusion_mode="dot", dim=8, epochs=1, batch_size=3,
-                                     seed=0), train_set, train_set)
-        serial = evaluate(model, train_set)
-        monkeypatch.setenv("LABELMATCH_THREADS", "4")
-        parallel = evaluate(model, train_set)
-        assert (serial.correct, serial.total, serial.per_class) == \
-            (parallel.correct, parallel.total, parallel.per_class)
-
 
 class TestCheckpoint:
     def test_roundtrip_is_bitwise_identity(self, toy_sets, tmp_path):
