@@ -172,6 +172,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_manifest(path: Path) -> dict:
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return manifest
+
+
+def _manifest_field(manifest: dict, key: str, path: Path) -> str:
+    value = manifest.get(key)
+    if not isinstance(value, str):
+        raise DataError(f"{path}: no {key!r} string in the manifest")
+    return value
+
+
 def _vocab_for_checkpoint(args, config: TrainConfig):
     verbalizer = None
     train_path = args.train
@@ -182,14 +199,14 @@ def _vocab_for_checkpoint(args, config: TrainConfig):
                 raise DataError(f"no manifest at {manifest_path}; pass --train explicitly")
             manifest = None
         else:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest = _read_manifest(manifest_path)
             if train_path is None:
-                train_path = manifest["train_path"]
-                if _sha256(train_path) != manifest["train_sha256"]:
+                train_path = _manifest_field(manifest, "train_path", manifest_path)
+                if _sha256(train_path) != _manifest_field(manifest, "train_sha256", manifest_path):
                     raise DataError(f"{train_path}: content hash differs from the manifest")
             if args.verbalizer is None and manifest.get("verbalizer_path"):
-                vpath = manifest["verbalizer_path"]
-                if _sha256(vpath) != manifest["verbalizer_sha256"]:
+                vpath = _manifest_field(manifest, "verbalizer_path", manifest_path)
+                if _sha256(vpath) != _manifest_field(manifest, "verbalizer_sha256", manifest_path):
                     raise DataError(f"{vpath}: content hash differs from the manifest")
                 verbalizer = load_verbalizer(vpath)
     if args.verbalizer is not None:

@@ -2,7 +2,7 @@
 
 Each forward returns (output, cache); the matching backward consumes the
 cache, accumulates parameter gradients into ParamTensor.grad, and returns
-the gradient w.r.t. its input. Nothing here allocates optimizer state or
+the gradient w.r.t. its input. No layer allocates optimizer state or
 touches global state.
 
 Arrays keep the dtype of the parameters they are built from: float32 for
@@ -26,17 +26,52 @@ import numpy as np
 from .errors import DataError
 
 
-class ParamTensor:
-    """A trainable array with its gradient and Adam moment buffers."""
+class ParamStore:
+    """One contiguous buffer each for the values, gradients and Adam moments
+    of a list of parameters, laid out in declaration order.
 
-    __slots__ = ("name", "value", "grad", "adam_m", "adam_v")
+    `params` holds one ParamTensor per (name, shape), each a view into the
+    four buffers, so the optimizer can update every parameter in one pass.
+    `value`, when given, is the flat value buffer itself (not copied).
+    """
+
+    __slots__ = ("value", "grad", "adam_m", "adam_v", "params")
+
+    def __init__(self, shapes: list[tuple[str, tuple[int, ...]]], dtype=np.float32,
+                 value: np.ndarray | None = None):
+        size = sum(math.prod(shape) for _, shape in shapes)
+        self.value = np.zeros(size, dtype=dtype) if value is None else value
+        self.grad = np.zeros_like(self.value)
+        self.adam_m = np.zeros_like(self.value)
+        self.adam_v = np.zeros_like(self.value)
+        self.params: list[ParamTensor] = []
+        lo = 0
+        for name, shape in shapes:
+            hi = lo + math.prod(shape)
+            p = ParamTensor.__new__(ParamTensor)
+            p.name, p.store = name, self
+            p.value, p.grad, p.adam_m, p.adam_v = (
+                buf[lo:hi].reshape(shape)
+                for buf in (self.value, self.grad, self.adam_m, self.adam_v))
+            self.params.append(p)
+            lo = hi
+
+
+class ParamTensor:
+    """A trainable array with its gradient and Adam moment buffers, all views
+    into the ParamStore that owns them.
+
+    Built directly from an array, it is the only member of a new store that
+    wraps that array's memory (a non-contiguous array is copied first).
+    """
+
+    __slots__ = ("name", "store", "value", "grad", "adam_m", "adam_v")
 
     def __init__(self, name: str, value: np.ndarray):
-        self.name = name
-        self.value = value
-        self.grad = np.zeros_like(value)
-        self.adam_m = np.zeros_like(value)
-        self.adam_v = np.zeros_like(value)
+        store = ParamStore([(name, value.shape)], value=value.reshape(-1))
+        for slot in self.__slots__:
+            setattr(self, slot, getattr(store.params[0], slot))
+        store.params[0] = self
 
     @property
     def shape(self) -> tuple[int, ...]:

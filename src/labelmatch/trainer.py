@@ -14,12 +14,16 @@ runs are reproducible across implementations, not just across processes:
   seeded with mix64(seed + (e+1) * 0x9E3779B97F4A7C15): position i runs
   from n-1 down to 1 and swaps with j = out(n-1-i) mod (i+1).
 
-Training is single-threaded and bit-deterministic: batches are consecutive
-slices of the epoch permutation. Each step runs one packed forward/backward
-(see encoder): the batch's texts and, when fusion consults labels, the K
-label phrases go through the encoder in the same pass, packed in a stable
-length-sorted order that depends only on the batch. Adam then updates
-parameters in declaration order with gradients averaged over the batch.
+Training is bit-deterministic: batches are consecutive slices of the epoch
+permutation. Each step runs one packed forward/backward (see encoder): the
+batch's texts and, when fusion consults labels, the K label phrases go
+through the encoder in the same pass, packed in a stable length-sorted order
+that depends only on the batch. Every parameter lives in one ParamStore, a
+flat buffer each for values, gradients and both Adam moments. Adam then
+checks the whole gradient (averaged over the batch) and updates the store in
+one pass of ADAM_BLOCK-element blocks. Each element sees the same
+elementwise operations in the same order as a per-tensor update, so the
+result does not depend on the block size.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -36,6 +40,7 @@ Checkpoint file layout (little-endian throughout):
 from __future__ import annotations
 
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -48,7 +53,7 @@ from .encoder import (EncoderParams, LabelSet, encode_batch_backward,
                       encode_batch_forward, encode_forward, encode_labels_forward)
 from .errors import CheckpointError, DataError, TrainingError
 from .fusion import FUSION_MODES, FusionHead, score_backward, score_forward
-from .nncore import ParamTensor, cross_entropy
+from .nncore import ParamStore, ParamTensor, cross_entropy
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -57,6 +62,9 @@ CHECKPOINT_MAGIC = b"LBLM1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per Adam block: six float32 arrays of this size (value, grad, both
+# moments and two scratch arrays) take 1.5 MiB and stay in a 4 MiB L2 cache.
+ADAM_BLOCK = 65536
 
 
 # --- seeded randomness ----------------------------------------------------------
@@ -203,35 +211,31 @@ def _xavier_bound(shape: tuple[int, ...]) -> float:
     return math.sqrt(6.0 / (shape[0] + shape[1]))
 
 
+def _assemble(params: list[ParamTensor], config: TrainConfig) -> tuple[EncoderParams, FusionHead]:
+    """Encoder and fusion head over the parameters named by _param_template."""
+    enc = EncoderParams(**{p.name: p for p in params if not p.name.startswith("head.")})
+    head = FusionHead(mode=config.fusion_mode,
+                      **{p.name.removeprefix("head."): p for p in params
+                         if p.name.startswith("head.")})
+    return enc, head
+
+
 def init_params(config: TrainConfig, vocab_size: int, num_classes: int,
                 dtype=np.float32) -> tuple[EncoderParams, FusionHead]:
     """Deterministic initialization from config.seed (see module docstring)."""
+    template = _param_template(config, vocab_size, num_classes)
+    store = ParamStore([(name, shape) for name, shape, _ in template], dtype=dtype)
     stream_seed = _mix64(config.seed & MASK64)
     offset = 0
-    params: dict[str, ParamTensor] = {}
-    for name, shape, kind in _param_template(config, vocab_size, num_classes):
-        size = int(np.prod(shape))
-        if kind == "zero":
-            value = np.zeros(shape, dtype=dtype)
-        elif kind == "log10":
-            value = np.full(shape, math.log(10.0), dtype=dtype)
-        else:
-            u = _unit_floats(stream_seed, offset, size)
-            offset += size
+    for p, (_, shape, kind) in zip(store.params, template):
+        if kind == "log10":
+            p.value[...] = math.log(10.0)
+        elif kind != "zero":
+            u = _unit_floats(stream_seed, offset, p.value.size)
+            offset += p.value.size
             bound = 0.01 if kind == "pos" else _xavier_bound(shape)
-            value = ((2.0 * u - 1.0) * bound).reshape(shape).astype(dtype)
-        params[name] = ParamTensor(name, value)
-
-    enc = EncoderParams(emb=params["emb"], pos=params["pos"], wq=params["wq"],
-                        wk=params["wk"], wv=params["wv"], w1=params["w1"],
-                        b1=params["b1"], w2=params["w2"], b2=params["b2"])
-    if config.fusion_mode == "none":
-        head = FusionHead(mode="none", w_out=params["head.w_out"], b_out=params["head.b_out"])
-    elif config.fusion_mode == "add":
-        head = FusionHead(mode="add", w_mix=params["head.w_mix"], b_out=params["head.b_out"])
-    else:
-        head = FusionHead(mode="dot", log_scale=params["head.log_scale"])
-    return enc, head
+            p.value[...] = ((2.0 * u - 1.0) * bound).reshape(shape)
+    return _assemble(store.params, config)
 
 
 def build_model(config: TrainConfig, train_set: Dataset,
@@ -252,21 +256,46 @@ def build_model(config: TrainConfig, train_set: Dataset,
 def adam_step(params: list[ParamTensor], lr: float, t: int,
               beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
               eps: float = ADAM_EPS) -> None:
-    """Bias-corrected Adam update in declaration order; zeroes grads after."""
+    """Bias-corrected Adam update of every parameter; zeroes grads after.
+
+    `params` must cover whole stores. All-or-nothing: every gradient is
+    checked before anything changes. Each store is then updated in one
+    pass of ADAM_BLOCK-element blocks with the elementwise arithmetic of a
+    per-tensor update, so the result is bit-identical to one.
+    """
     if t < 1:
         raise TrainingError(f"step counter must be >= 1, got {t}")
-    for p in params:
-        g = p.grad
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
-        p.adam_m *= beta1
-        p.adam_m += (1 - beta1) * g
-        p.adam_v *= beta2
-        p.adam_v += (1 - beta2) * (g * g)
-        m_hat = p.adam_m / (1 - beta1**t)
-        v_hat = p.adam_v / (1 - beta2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        p.zero_grad()
+    stores = list({id(p.store): p.store for p in params}.values())
+    if len({id(p) for p in params}) != len(params) or \
+            len(params) != sum(len(s.params) for s in stores):
+        raise ValueError("adam_step needs every parameter of each store it updates, once")
+    for store in stores:
+        if not np.isfinite(store.grad).all():
+            bad = next(p for p in store.params if not np.isfinite(p.grad).all())
+            raise TrainingError(f"non-finite gradient in parameter {bad.name!r}")
+    c1, c2 = 1 - beta1**t, 1 - beta2**t
+    for store in stores:
+        size = store.value.size
+        scratch_a = np.empty(min(size, ADAM_BLOCK), dtype=store.value.dtype)
+        scratch_b = np.empty_like(scratch_a)
+        for lo in range(0, size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, size)
+            g, m, v = store.grad[lo:hi], store.adam_m[lo:hi], store.adam_v[lo:hi]
+            a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+            m *= beta1
+            m += np.multiply(g, 1 - beta1, out=a)
+            v *= beta2
+            np.multiply(g, g, out=a)
+            a *= 1 - beta2
+            v += a
+            np.divide(m, c1, out=a)       # m_hat
+            a *= lr
+            np.divide(v, c2, out=b)       # v_hat
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            store.value[lo:hi] -= a
+            g[...] = 0
 
 
 # --- training --------------------------------------------------------------------
@@ -413,11 +442,15 @@ def _write_str(f, s: str) -> None:
     f.write(raw)
 
 
+def _bytes_left(f) -> int:
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
 def _read_exact(f, n: int) -> bytes:
-    raw = f.read(n)
-    if len(raw) != n:
+    """n bytes from f; a length past the end of the file is refused unread."""
+    if n > _bytes_left(f):
         raise CheckpointError("truncated checkpoint")
-    return raw
+    return f.read(n)
 
 
 def _read_u64(f) -> int:
@@ -425,8 +458,11 @@ def _read_u64(f) -> int:
 
 
 def _read_str(f) -> str:
-    n = _read_u64(f)
-    return _read_exact(f, n).decode("utf-8")
+    raw = _read_exact(f, _read_u64(f))
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint string is not UTF-8: {exc}") from None
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -448,19 +484,23 @@ def save_checkpoint(model: Model, path) -> None:
             f.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
 
 
-def read_checkpoint_header(path) -> tuple[TrainConfig, int]:
-    """Returns (config, vocab fingerprint) without loading parameters."""
-    with open(path, "rb") as f:
-        if _read_exact(f, len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic")
-        batch_size, epochs, seed, dim, max_len, min_freq = (_read_u64(f) for _ in range(6))
-        lr = struct.unpack("<d", _read_exact(f, 8))[0]
-        fusion_mode = _read_str(f)
-        fingerprint = _read_u64(f)
+def _read_header(f, path) -> tuple[TrainConfig, int]:
+    if _read_exact(f, len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic")
+    batch_size, epochs, seed, dim, max_len, min_freq = (_read_u64(f) for _ in range(6))
+    lr = struct.unpack("<d", _read_exact(f, 8))[0]
+    fusion_mode = _read_str(f)
+    fingerprint = _read_u64(f)
     config = TrainConfig(batch_size=batch_size, epochs=epochs, learning_rate=lr,
                          seed=seed, fusion_mode=fusion_mode, dim=dim,
                          max_len=max_len, min_freq=min_freq)
     return config, fingerprint
+
+
+def read_checkpoint_header(path) -> tuple[TrainConfig, int]:
+    """Returns (config, vocab fingerprint) without loading parameters."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)
 
 
 def load_checkpoint(path, vocab: Vocabulary, label_names: tuple[str, ...],
@@ -469,48 +509,38 @@ def load_checkpoint(path, vocab: Vocabulary, label_names: tuple[str, ...],
 
     The caller supplies the vocabulary (rebuilt from the training data the
     run manifest points at); its fingerprint must match the stored one.
+    Each parameter's payload is read straight into its slice of the store.
     """
-    config, fingerprint = read_checkpoint_header(path)
-    config.validate()
-    if fingerprint != vocab_fingerprint(vocab):
-        raise CheckpointError(f"{path}: vocab fingerprint mismatch")
-
-    template = _param_template(config, len(vocab), len(label_names))
     with open(path, "rb") as f:
-        _read_exact(f, len(CHECKPOINT_MAGIC))
-        for _ in range(6):
-            _read_u64(f)
-        _read_exact(f, 8)
-        _read_str(f)
-        _read_u64(f)
+        config, fingerprint = _read_header(f, path)
+        config.validate()
+        if fingerprint != vocab_fingerprint(vocab):
+            raise CheckpointError(f"{path}: vocab fingerprint mismatch")
+        shapes = [(name, shape) for name, shape, _ in
+                  _param_template(config, len(vocab), len(label_names))]
         count = _read_u64(f)
-        if count != len(template):
+        if count != len(shapes):
             raise CheckpointError(f"{path}: shape mismatch: {count} parameters stored, "
-                                  f"{len(template)} expected")
-        params: dict[str, ParamTensor] = {}
-        for name, shape, _ in template:
+                                  f"{len(shapes)} expected")
+        needed = 4 * sum(math.prod(shape) for _, shape in shapes)
+        if needed > _bytes_left(f):
+            raise CheckpointError(f"{path}: truncated checkpoint or shape mismatch: "
+                                  f"{needed} parameter bytes expected, "
+                                  f"{_bytes_left(f)} left in the file")
+        store = ParamStore(shapes, dtype=np.dtype("<f4"))
+        for p in store.params:
             stored_name = _read_str(f)
             ndim = _read_u64(f)
             stored_shape = tuple(_read_u64(f) for _ in range(ndim))
-            if stored_name != name or stored_shape != shape:
+            if stored_name != p.name or stored_shape != p.shape:
                 raise CheckpointError(
                     f"{path}: shape mismatch: stored {stored_name}{list(stored_shape)}, "
-                    f"expected {name}{list(shape)}")
-            size = int(np.prod(shape))
-            raw = _read_exact(f, 4 * size)
-            value = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-            params[name] = ParamTensor(name, value)
+                    f"expected {p.name}{list(p.shape)}")
+            if f.readinto(p.value.reshape(-1).view(np.uint8)) != p.value.nbytes:
+                raise CheckpointError(f"{path}: truncated checkpoint")
 
     phrases = [verbalize_label(name, verbalizer) for name in label_names]
     seqs = tuple(tokenize(p, vocab, config.max_len) for p in phrases)
     labels = LabelSet(label_names=tuple(label_names), token_seqs=seqs)
-    enc = EncoderParams(emb=params["emb"], pos=params["pos"], wq=params["wq"],
-                        wk=params["wk"], wv=params["wv"], w1=params["w1"],
-                        b1=params["b1"], w2=params["w2"], b2=params["b2"])
-    if config.fusion_mode == "none":
-        head = FusionHead(mode="none", w_out=params["head.w_out"], b_out=params["head.b_out"])
-    elif config.fusion_mode == "add":
-        head = FusionHead(mode="add", w_mix=params["head.w_mix"], b_out=params["head.b_out"])
-    else:
-        head = FusionHead(mode="dot", log_scale=params["head.log_scale"])
+    enc, head = _assemble(store.params, config)
     return Model(config=config, vocab=vocab, labels=labels, enc=enc, head=head)

@@ -1,4 +1,5 @@
-"""Per-example reference for the packed forward/backward.
+"""Per-example reference for the packed forward/backward, and a per-tensor
+reference for the flat, blocked Adam pass.
 
 One sequence at a time, one example at a time: the encoder, heads and
 cross-entropy as plain numpy loops, in the order the library computed them
@@ -6,6 +7,10 @@ before batches were packed. Gradients go into a fresh dict keyed by
 parameter name, so the model under test is only read. Tests compare the
 packed path against this in float64, where only the summation order
 differs.
+
+`adam_step` is the optimizer as one loop over parameter tensors, checking
+and updating each in turn. The flat pass keeps its elementwise arithmetic,
+so tests require bit-identical results from the two.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from labelmatch.errors import TrainingError
 
 MAX_DOT_SCALE = 100.0
 
@@ -135,3 +142,19 @@ def predict(model, seqs) -> list[int]:
         labels = np.stack([encode_forward(seq, v)[0] for seq in model.labels.token_seqs])
     return [int(np.argmax(score_forward(encode_forward(seq, v)[0], labels,
                                         model.head.mode, v)[0])) for seq in seqs]
+
+
+def adam_step(params, lr, t, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """Bias-corrected Adam, one tensor at a time; zeroes each grad after."""
+    for p in params:
+        g = p.grad
+        if not np.isfinite(g).all():
+            raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
+        p.adam_m *= beta1
+        p.adam_m += (1 - beta1) * g
+        p.adam_v *= beta2
+        p.adam_v += (1 - beta2) * (g * g)
+        m_hat = p.adam_m / (1 - beta1**t)
+        v_hat = p.adam_v / (1 - beta2**t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.zero_grad()

@@ -1,5 +1,7 @@
 import json
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +162,72 @@ class TestEvalCommand:
         assert run_cli("eval", "--checkpoint", out, "--test", test) == 2
         assert run_cli("eval", "--checkpoint", out, "--test", test,
                        "--train", train) == 0
+
+
+@pytest.fixture
+def trained(toy_files, tmp_path):
+    """(checkpoint path, test path) of a 1-epoch `none` model and its manifest."""
+    train, test = toy_files
+    out = tmp_path / "model.ckpt"
+    assert run_cli("train", "--train", train, "--test", test, "--fusion", "none",
+                   "--dim", "8", "--epochs", "1", "--seed", "0", "--out", out) == 0
+    return out, test
+
+
+MODE_LENGTH_AT = 5 + 6 * 8 + 8  # magic, six u64 config fields, f64 learning rate
+
+
+def assert_clean_exit_two(capsys, *argv, message: str) -> None:
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+class TestCorruptedEvalInput:
+    def test_manifest_not_json(self, trained, capsys):
+        ckpt, test = trained
+        ckpt.with_name("model.ckpt.manifest.json").write_text("{not json", encoding="utf-8")
+        assert_clean_exit_two(capsys, "eval", "--checkpoint", ckpt, "--test", test,
+                              message="not valid JSON")
+
+    def test_manifest_without_train_path(self, trained, capsys):
+        ckpt, test = trained
+        manifest_path = ckpt.with_name("model.ckpt.manifest.json")
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        del manifest["train_path"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert_clean_exit_two(capsys, "eval", "--checkpoint", ckpt, "--test", test,
+                              message="'train_path'")
+
+    def test_checkpoint_string_not_utf8(self, trained, capsys):
+        ckpt, test = trained
+        raw = bytearray(ckpt.read_bytes())
+        at = MODE_LENGTH_AT + 8
+        assert raw[at:at + 4] == b"none"
+        raw[at:at + 4] = b"\xff\xfe\xfd\xfc"
+        ckpt.write_bytes(raw)
+        assert_clean_exit_two(capsys, "eval", "--checkpoint", ckpt, "--test", test,
+                              message="not UTF-8")
+
+    @pytest.mark.parametrize("at, text", [(MODE_LENGTH_AT, b"none"),
+                                          (MODE_LENGTH_AT + 8 + 4 + 16, b"emb")],
+                             ids=["fusion-mode", "first-parameter-name"])
+    def test_bit_flipped_string_length_is_refused_unread(self, trained, capsys, at, text):
+        ckpt, test = trained
+        raw = bytearray(ckpt.read_bytes())
+        (length,) = struct.unpack_from("<Q", raw, at)
+        assert raw[at + 8:at + 8 + length] == text
+        struct.pack_into("<Q", raw, at, length | 1 << 40)  # one flipped bit: 1 TiB
+        ckpt.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            assert_clean_exit_two(capsys, "eval", "--checkpoint", ckpt, "--test", test,
+                                  message="truncated checkpoint")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestAblationCommand:

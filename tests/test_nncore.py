@@ -5,7 +5,7 @@ import pytest
 
 from labelmatch import nncore
 from labelmatch.errors import DataError
-from labelmatch.nncore import (ParamTensor, attention_backward,
+from labelmatch.nncore import (ParamStore, ParamTensor, attention_backward,
                                attention_forward, cross_entropy, embed_backward,
                                embed_forward, ffn_backward, ffn_forward,
                                finite_diff_check, mean_pool_backward,
@@ -20,6 +20,26 @@ def embed(ids, emb, pos):
 
 def param(rng, name, shape):
     return ParamTensor(name, rng.uniform(-0.5, 0.5, size=shape))
+
+
+class TestParamStore:
+    def test_views_laid_out_in_declaration_order(self):
+        store = ParamStore([("a", (2, 3)), ("s", ()), ("b", (4,))], dtype=np.float64)
+        assert store.value.shape == (11,) and store.value.dtype == np.float64
+        a, s, b = store.params
+        assert (a.shape, s.shape, b.shape) == ((2, 3), (), (4,))
+        b.value[...] = 7.0
+        b.grad[0] = 1.0
+        np.testing.assert_array_equal(store.value[7:], 7.0)
+        assert store.grad[7] == 1.0 and store.grad[:7].sum() == 0
+
+    def test_array_becomes_a_store_of_one_without_copy(self):
+        value = np.arange(6.0).reshape(2, 3)
+        p = ParamTensor("p", value)
+        assert p.store.params == [p]
+        assert np.shares_memory(p.value, value) and p.value.shape == (2, 3)
+        p.value[1, 2] = -1.0
+        assert value[1, 2] == -1.0
 
 
 class TestEmbed:

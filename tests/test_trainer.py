@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import labelmatch.trainer
+import per_example_reference as reference
 from labelmatch.corpus import (Example, build_vocab, load_dataset, make_dataset,
                                tokenize, verbalize_label)
 from labelmatch.errors import CheckpointError, DataError, TrainingError
-from labelmatch.nncore import ParamTensor
-from labelmatch.trainer import (Model, TrainConfig, adam_step, batch_step,
+from labelmatch.nncore import ParamStore, ParamTensor
+from labelmatch.trainer import (ADAM_BLOCK, Model, TrainConfig, adam_step, batch_step,
                                 build_model, evaluate, init_params,
                                 load_checkpoint, save_checkpoint,
                                 shuffled_indices, train)
@@ -31,6 +33,19 @@ def toy_sets():
 def params_equal(a: Model, b: Model) -> bool:
     return all(np.array_equal(x.value, y.value)
                for x, y in zip(a.parameters(), b.parameters()))
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.uint8)
+
+
+def assert_one_store(params: list[ParamTensor]) -> None:
+    store = params[0].store
+    assert store.params == params
+    for p in params:
+        assert p.store is store
+        for name in ("value", "grad", "adam_m", "adam_v"):
+            assert np.shares_memory(getattr(p, name), getattr(store, name))
 
 
 class TestAdamStep:
@@ -63,6 +78,60 @@ class TestAdamStep:
         p.grad += np.array([1.0, np.nan])
         with pytest.raises(TrainingError, match="oddball"):
             adam_step([p], lr=1e-3, t=1)
+
+    def test_non_finite_gradient_changes_nothing(self, toy_sets):
+        # the first offending parameter in declaration order is named, and no
+        # value, moment or gradient moves, not even those declared before it
+        train_set, _ = toy_sets
+        model = build_model(TrainConfig(fusion_mode="dot", dim=8), train_set)
+        params = model.parameters()
+        rng = np.random.default_rng(3)
+        for t in (1, 2, 3):
+            for p in params:
+                p.grad[...] = rng.normal(size=p.shape)
+            adam_step(params, lr=1e-2, t=t)
+        for p in params:
+            p.grad[...] = rng.normal(size=p.shape)
+        model.enc.b2.grad[1] = np.inf
+        model.head.log_scale.grad[0] = np.nan
+        before = [[getattr(p, a).copy() for a in ("value", "grad", "adam_m", "adam_v")]
+                  for p in params]
+        with pytest.raises(TrainingError, match="'b2'"):
+            adam_step(params, lr=1e-2, t=4)
+        for p, saved in zip(params, before):
+            for a, old in zip(("value", "grad", "adam_m", "adam_v"), saved):
+                assert np.array_equal(bits(getattr(p, a)), bits(old)), (p.name, a)
+
+    def test_part_of_a_store_rejected(self, toy_sets):
+        train_set, _ = toy_sets
+        params = build_model(TrainConfig(dim=8), train_set).parameters()
+        for partial in (params[1:], params + params[:1]):
+            with pytest.raises(ValueError, match="every parameter"):
+                adam_step(partial, lr=1e-3, t=1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_tensor_reference_bitwise(self, dtype):
+        # a tensor straddles the first block boundary and the store ends in
+        # a partial block
+        shapes = [("a", (300, 257)), ("b", (7,)), ("c", (1,))]
+        store = ParamStore(shapes, dtype=dtype)
+        assert store.value.size > ADAM_BLOCK and store.value.size % ADAM_BLOCK
+        rng = np.random.default_rng(8)
+        store.value[...] = rng.normal(size=store.value.size)
+        singles = [ParamTensor(p.name, p.value.copy()) for p in store.params]
+        offsets = np.cumsum([0] + [p.value.size for p in singles])
+        for t in range(1, 5):
+            scale = 10.0 ** rng.integers(-6, 3, size=store.value.size)
+            grad = (rng.normal(size=store.value.size) * scale).astype(dtype)
+            grad[rng.random(grad.size) < 0.1] = 0
+            store.grad[...] = grad
+            for p, lo in zip(singles, offsets):
+                p.grad[...] = grad[lo:lo + p.value.size].reshape(p.shape)
+            adam_step(store.params, lr=1e-3, t=t)
+            reference.adam_step(singles, lr=1e-3, t=t)
+            for p, q in zip(store.params, singles):
+                for a in ("value", "adam_m", "adam_v", "grad"):
+                    assert np.array_equal(bits(getattr(p, a)), bits(getattr(q, a))), (t, p.name, a)
 
 
 class TestInitParams:
@@ -121,6 +190,23 @@ class TestTrain:
         assert params_equal(m1, m2)
         assert [(e.train_loss, e.train_acc, e.test_acc) for e in h1.epochs] == \
             [(e.train_loss, e.train_acc, e.test_acc) for e in h2.epochs]
+
+    @pytest.mark.parametrize("mode", ["none", "add", "dot"])
+    def test_per_tensor_reference_adam_gives_same_bits(self, toy_sets, monkeypatch, mode):
+        train_set, eval_set = toy_sets
+        config = TrainConfig(fusion_mode=mode, dim=8, epochs=1, batch_size=2, seed=5)
+        model, _ = train(config, train_set, eval_set)
+        monkeypatch.setattr(labelmatch.trainer, "adam_step", reference.adam_step)
+        expected, _ = train(config, train_set, eval_set)
+        for p, q in zip(model.parameters(), expected.parameters()):
+            for a in ("value", "adam_m", "adam_v"):
+                assert np.array_equal(bits(getattr(p, a)), bits(getattr(q, a))), (p.name, a)
+
+    def test_parameters_are_views_of_one_store(self, toy_sets):
+        train_set, _ = toy_sets
+        for mode in ("none", "add", "dot"):
+            assert_one_store(build_model(TrainConfig(fusion_mode=mode, dim=8), train_set)
+                             .parameters())
 
     def test_memorizes_toy_set(self, toy_sets):
         train_set, _ = toy_sets
@@ -188,6 +274,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, model.vocab, model.labels.label_names)
         assert params_equal(model, loaded)
         assert loaded.config == config
+        assert_one_store(loaded.parameters())
         seq = tokenize("the green cat barked", model.vocab, config.max_len)
         np.testing.assert_array_equal(model.predict_logits(seq),
                                       loaded.predict_logits(seq))
