@@ -1,7 +1,7 @@
 """Command-line surface: train, eval, ablation, gradcheck, stats.
 
-Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
-3 verification failure.
+Exit codes are a stable contract: 0 success, 1 usage error, 2 data or file
+error, 3 verification failure.
 
 cmd_train writes three files next to --out PATH: the checkpoint itself, a
 history CSV at PATH.history.csv (no header; one `epoch,train_loss,
@@ -26,11 +26,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .corpus import (build_vocab, dataset_stats, load_dataset, load_verbalizer,
-                     verbalize_label)
+from .corpus import dataset_stats, load_dataset, load_verbalizer
 from .errors import DataError, LabelMatchError, VerificationError
 from .gradcheck import run_all
-from .trainer import (CLI_BATCH_SIZES, TrainConfig, evaluate, load_checkpoint,
+from .trainer import (CLI_BATCH_SIZES, TrainConfig, evaluate, load_checkpoint, model_vocab,
                       read_checkpoint_header, save_checkpoint, train)
 
 ABLATION_ROWS = (("No", "No", "none"), ("Yes", "Add", "add"), ("Yes", "Dot Product", "dot"))
@@ -213,8 +212,7 @@ def _vocab_for_checkpoint(args, config: TrainConfig):
         verbalizer = load_verbalizer(args.verbalizer)
 
     train_set = load_dataset(train_path, split="train")
-    phrases = [verbalize_label(name, verbalizer) for name in train_set.label_names]
-    vocab = build_vocab(train_set, config.min_freq, extra_texts=phrases)
+    vocab = model_vocab(train_set, config.min_freq, verbalizer)
     return vocab, train_set.label_names, verbalizer
 
 
@@ -233,16 +231,14 @@ def cmd_eval(args) -> int:
 
 
 def _ablation_worker(payload) -> tuple[str, int, float]:
-    mode, seed, cfg_fields, train_path, test_path, verbalizer_path = payload
-    config = TrainConfig(**cfg_fields)
-    config = replace(config, fusion_mode=mode, seed=seed)
+    config, train_path, test_path, verbalizer_path = payload
     train_set = load_dataset(train_path, split="train")
     test_set = load_dataset(test_path, split="test")
     verbalizer = load_verbalizer(verbalizer_path) if verbalizer_path else None
     model, history = train(config, train_set, test_set, verbalizer)
     if history.epochs:
-        return mode, seed, history.epochs[-1].test_acc
-    return mode, seed, evaluate(model, test_set).accuracy_pct
+        return config.fusion_mode, config.seed, history.epochs[-1].test_acc
+    return config.fusion_mode, config.seed, evaluate(model, test_set).accuracy_pct
 
 
 @contextmanager
@@ -264,11 +260,7 @@ def run_ablation(args) -> EvalReport:
     """Train every fusion mode for every seed; deterministic per (mode, seed)."""
     dataset_name = Path(args.train).name.split(".")[0]
     base = _config_from_args(args, fusion_mode="dot")
-    jobs = [(mode, seed,
-             {"batch_size": base.batch_size, "epochs": base.epochs, "seed": seed,
-              "dim": base.dim, "learning_rate": base.learning_rate,
-              "max_len": base.max_len, "min_freq": base.min_freq, "fusion_mode": mode},
-             args.train, args.test, args.verbalizer)
+    jobs = [(replace(base, fusion_mode=mode, seed=seed), args.train, args.test, args.verbalizer)
             for _, _, mode in ABLATION_ROWS for seed in args.seeds]
 
     results: dict[tuple[str, int], float] = {}
@@ -381,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    except (LabelMatchError, FileNotFoundError) as exc:
+    except (LabelMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

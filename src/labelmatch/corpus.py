@@ -98,8 +98,11 @@ def load_dataset(path, format: str = "auto", split: str = "train") -> Dataset:
     """
     if format not in ("auto", "tsv", "space"):
         raise DataError(f"unknown format {format!r}")
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        raw = f.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            raw = f.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: {exc}") from None
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -196,7 +199,7 @@ def load_verbalizer(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()

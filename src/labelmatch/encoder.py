@@ -14,7 +14,7 @@ floating-point summation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,34 +37,17 @@ class EncoderParams:
     w2: ParamTensor    # 4d x d
     b2: ParamTensor    # d
 
-    def all(self) -> list[ParamTensor]:
-        return [self.emb, self.pos, self.wq, self.wk, self.wv,
-                self.w1, self.b1, self.w2, self.b2]
-
-    @property
-    def dim(self) -> int:
-        return self.emb.value.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.emb.value.shape[0]
-
-    @property
-    def max_len(self) -> int:
-        return self.pos.value.shape[0]
-
 
 @dataclass
 class LabelSet:
-    """Verbalized, tokenized class labels plus an inference-time cache.
+    """Verbalized, tokenized class labels.
 
-    During training the label matrix is recomputed every step so gradients
-    flow through the label path; `matrix` is only filled for inference.
+    No label matrix is kept: every forward pass encodes the phrases again
+    with the current encoder, so label vectors never lag behind training.
     """
 
     label_names: tuple[str, ...]
     token_seqs: tuple[TokenSeq, ...]
-    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         assert len(self.label_names) == len(self.token_seqs)

@@ -40,17 +40,9 @@ class FusionHead:
     w_mix: ParamTensor | None = None   # add: d
     log_scale: ParamTensor | None = None  # dot: shape (1,)
 
-    def all(self) -> list[ParamTensor]:
-        if self.mode == "none":
-            return [self.w_out, self.b_out]
-        if self.mode == "add":
-            return [self.w_mix, self.b_out]
-        return [self.log_scale]
-
 
 @dataclass
 class FusionCache:
-    mode: str
     head: FusionHead
     t: np.ndarray                      # (B, d)
     labels: np.ndarray | None = None
@@ -97,17 +89,17 @@ def score_forward(t: np.ndarray, labels: np.ndarray | None, head: FusionHead):
         _require_labels(head, tb, labels)
     if head.mode == "none":
         logits = tb @ head.w_out.value.T + head.b_out.value
-        cache = FusionCache(mode="none", head=head, t=tb)
+        cache = FusionCache(head=head, t=tb)
     elif head.mode == "add":
         fused = tb[:, None, :] + labels[None, :, :]
         logits = np.maximum(fused, 0) @ head.w_mix.value + head.b_out.value
-        cache = FusionCache(mode="add", head=head, t=tb, labels=labels, fused=fused)
+        cache = FusionCache(head=head, t=tb, labels=labels, fused=fused)
     else:
         raw = float(np.exp(head.log_scale.value[0]))
         clamped = raw > MAX_DOT_SCALE
         scale = MAX_DOT_SCALE if clamped else raw
         logits = scale * (tb @ labels.T)
-        cache = FusionCache(mode="dot", head=head, t=tb, labels=labels,
+        cache = FusionCache(head=head, t=tb, labels=labels,
                             scale=scale, scale_clamped=clamped)
     return (logits[0] if t.ndim == 1 else logits), cache
 
@@ -118,11 +110,11 @@ def score_backward(d_logits: np.ndarray, cache: FusionCache):
     head = cache.head
     d = np.atleast_2d(d_logits)
     d_labels = None
-    if cache.mode == "none":
+    if head.mode == "none":
         head.w_out.grad += d.T @ cache.t
         head.b_out.grad += d.sum(axis=0)
         d_t = d @ head.w_out.value
-    elif cache.mode == "add":
+    elif head.mode == "add":
         relu = np.maximum(cache.fused, 0)
         head.w_mix.grad += relu.reshape(-1, relu.shape[2]).T @ d.reshape(-1)
         head.b_out.grad += d.sum(axis=0)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import nncore
 from .corpus import Example, make_dataset, tokenize
-from .encoder import encode_batch_forward
 from .errors import VerificationError
 from .fusion import FusionHead, score_backward, score_forward
 from .nncore import GradCheckReport, ParamTensor, finite_diff_check
@@ -134,15 +133,16 @@ def check_cross_entropy() -> GradCheckReport:
     return finite_diff_check("cross_entropy", loss, [logits])
 
 
-def _make_head(mode: str, rng: np.random.Generator, k: int, d: int) -> FusionHead:
+def _make_head(mode: str, rng: np.random.Generator, k: int, d: int):
+    """A head of `mode` with random parameters; returns (head, its parameters)."""
     if mode == "none":
-        return FusionHead(mode="none", w_out=_param(rng, "head.w_out", (k, d)),
-                          b_out=_param(rng, "head.b_out", (k,)))
-    if mode == "add":
-        return FusionHead(mode="add", w_mix=_param(rng, "head.w_mix", (d,)),
-                          b_out=_param(rng, "head.b_out", (k,)))
-    return FusionHead(mode="dot",
-                      log_scale=ParamTensor("head.log_scale", np.array([np.log(10.0)])))
+        params = [_param(rng, "head.w_out", (k, d)), _param(rng, "head.b_out", (k,))]
+    elif mode == "add":
+        params = [_param(rng, "head.w_mix", (d,)), _param(rng, "head.b_out", (k,))]
+    else:
+        params = [ParamTensor("head.log_scale", np.array([np.log(10.0)]))]
+    head = FusionHead(mode=mode, **{p.name.removeprefix("head."): p for p in params})
+    return head, params
 
 
 def check_head(mode: str) -> GradCheckReport:
@@ -151,7 +151,7 @@ def check_head(mode: str) -> GradCheckReport:
         rng = _rng(seed)
         t = _param(rng, "t", (b, d))
         labels = _param(rng, "labels", (k, d))
-        head = _make_head(mode, rng, k, d)
+        head, head_params = _make_head(mode, rng, k, d)
         fused = t.value[:, None, :] + labels.value[None, :, :]
         if mode != "add" or np.abs(fused).min() > RELU_MARGIN:
             break
@@ -167,7 +167,7 @@ def check_head(mode: str) -> GradCheckReport:
     logits, cache = score_forward(t.value, None if consulted is None else consulted.value, head)
     d_t, d_labels = score_backward(proj, cache)
     t.grad += d_t
-    params = [t] + head.all()
+    params = [t] + head_params
     if d_labels is not None:
         labels.grad += d_labels
         params.append(labels)
@@ -188,14 +188,12 @@ def _min_shift(values: np.ndarray, margin: float) -> float:
 
 
 def _relu_inputs(model: Model, seqs) -> tuple[np.ndarray, np.ndarray | None]:
-    """The FFN preactivations of every text and label row, and for the
-    additive head the fused text+label vectors (else None)."""
-    vecs, cache = encode_batch_forward(list(seqs) + list(model.labels.token_seqs), model.enc)
-    fused = None
-    if model.head.mode == "add":
-        n = len(seqs)
-        fused = (vecs[:n, None, :] + vecs[None, n:, :]).reshape(-1, vecs.shape[1])
-    return cache.ffn_cache.pre, fused
+    """From the model's forward pass: the FFN preactivations of every row it
+    encodes, and for the additive head the fused text+label vectors (else
+    None)."""
+    _, (encode_cache, score_cache) = forward(model, seqs)
+    fused = score_cache.fused
+    return encode_cache.ffn_cache.pre, None if fused is None else fused.reshape(-1, fused.shape[2])
 
 
 def _nudge_relu_safe(model: Model, seqs, margin: float) -> None:

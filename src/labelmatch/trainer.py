@@ -50,7 +50,7 @@ import numpy as np
 from .corpus import (Dataset, TokenSeq, Vocabulary, build_vocab, tokenize,
                      verbalize_label, vocab_fingerprint)
 from .encoder import (EncoderParams, LabelSet, encode_batch_backward,
-                      encode_batch_forward, encode_forward, encode_labels_forward)
+                      encode_batch_forward, encode_labels_forward)
 from .errors import CheckpointError, DataError, TrainingError
 from .fusion import FUSION_MODES, FusionHead, score_backward, score_forward
 from .nncore import ParamStore, ParamTensor, cross_entropy
@@ -157,24 +157,11 @@ class Model:
     head: FusionHead
 
     def parameters(self) -> list[ParamTensor]:
-        return self.enc.all() + self.head.all()
-
-    def label_matrix(self) -> np.ndarray | None:
-        """Cached label encodings for inference; training never uses this."""
-        if self.head.mode == "none":
-            return None
-        if self.labels.matrix is None:
-            matrix, _ = encode_labels_forward(self.labels, self.enc)
-            self.labels.matrix = matrix
-        return self.labels.matrix
-
-    def invalidate_label_cache(self) -> None:
-        self.labels.matrix = None
+        """Every parameter in declaration order, from the store they all share."""
+        return list(self.enc.emb.store.params)
 
     def predict_logits(self, seq: TokenSeq) -> np.ndarray:
-        vec, _ = encode_forward(seq, self.enc)
-        logits, _ = score_forward(vec, self.label_matrix(), self.head)
-        return logits
+        return forward(self, [seq])[0][0]
 
 
 # --- initialization ----------------------------------------------------------------
@@ -238,24 +225,36 @@ def init_params(config: TrainConfig, vocab_size: int, num_classes: int,
     return _assemble(store.params, config)
 
 
+def model_vocab(train_set: Dataset, min_freq: int,
+                verbalizer: dict[str, str] | None = None) -> Vocabulary:
+    """The train tokens plus every verbalized label phrase, which always
+    survives min_freq; a checkpoint's fingerprint is taken over this."""
+    phrases = [verbalize_label(name, verbalizer) for name in train_set.label_names]
+    return build_vocab(train_set, min_freq, extra_texts=phrases)
+
+
+def _label_set(label_names: tuple[str, ...], vocab: Vocabulary, max_len: int,
+               verbalizer: dict[str, str] | None = None) -> LabelSet:
+    """The verbalized phrase of every label, tokenized with `vocab`."""
+    seqs = tuple(tokenize(verbalize_label(name, verbalizer), vocab, max_len)
+                 for name in label_names)
+    return LabelSet(label_names=tuple(label_names), token_seqs=seqs)
+
+
 def build_model(config: TrainConfig, train_set: Dataset,
                 verbalizer: dict[str, str] | None = None,
                 dtype=np.float32) -> Model:
     """Vocabulary, verbalized label set, and freshly initialized parameters."""
     config.validate()
-    phrases = [verbalize_label(name, verbalizer) for name in train_set.label_names]
-    vocab = build_vocab(train_set, config.min_freq, extra_texts=phrases)
-    seqs = tuple(tokenize(p, vocab, config.max_len) for p in phrases)
-    labels = LabelSet(label_names=train_set.label_names, token_seqs=seqs)
+    vocab = model_vocab(train_set, config.min_freq, verbalizer)
+    labels = _label_set(train_set.label_names, vocab, config.max_len, verbalizer)
     enc, head = init_params(config, len(vocab), labels.num_classes, dtype=dtype)
     return Model(config=config, vocab=vocab, labels=labels, enc=enc, head=head)
 
 
 # --- optimizer -------------------------------------------------------------------
 
-def adam_step(params: list[ParamTensor], lr: float, t: int,
-              beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              eps: float = ADAM_EPS) -> None:
+def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
     """Bias-corrected Adam update of every parameter; zeroes grads after.
 
     `params` must cover whole stores. All-or-nothing: every gradient is
@@ -273,7 +272,7 @@ def adam_step(params: list[ParamTensor], lr: float, t: int,
         if not np.isfinite(store.grad).all():
             bad = next(p for p in store.params if not np.isfinite(p.grad).all())
             raise TrainingError(f"non-finite gradient in parameter {bad.name!r}")
-    c1, c2 = 1 - beta1**t, 1 - beta2**t
+    c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
     for store in stores:
         size = store.value.size
         scratch_a = np.empty(min(size, ADAM_BLOCK), dtype=store.value.dtype)
@@ -282,17 +281,17 @@ def adam_step(params: list[ParamTensor], lr: float, t: int,
             hi = min(lo + ADAM_BLOCK, size)
             g, m, v = store.grad[lo:hi], store.adam_m[lo:hi], store.adam_v[lo:hi]
             a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
-            m *= beta1
-            m += np.multiply(g, 1 - beta1, out=a)
-            v *= beta2
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
             np.multiply(g, g, out=a)
-            a *= 1 - beta2
+            a *= 1 - ADAM_BETA2
             v += a
             np.divide(m, c1, out=a)       # m_hat
             a *= lr
             np.divide(v, c2, out=b)       # v_hat
             np.sqrt(b, out=b)
-            b += eps
+            b += ADAM_EPS
             a /= b
             store.value[lo:hi] -= a
             g[...] = 0
@@ -416,7 +415,6 @@ def train(config: TrainConfig, train_set: Dataset, eval_set: Dataset,
             epoch_losses.extend(losses)
             step += 1
             adam_step(model.parameters(), config.learning_rate, step)
-        model.invalidate_label_cache()
         train_eval = evaluate_seqs(model, train_seqs, train_targets, model.labels.label_names)
         test_eval = evaluate_seqs(model, eval_seqs, eval_targets, model.labels.label_names)
         stats = EpochStats(epoch=epoch + 1,
@@ -539,8 +537,6 @@ def load_checkpoint(path, vocab: Vocabulary, label_names: tuple[str, ...],
             if f.readinto(p.value.reshape(-1).view(np.uint8)) != p.value.nbytes:
                 raise CheckpointError(f"{path}: truncated checkpoint")
 
-    phrases = [verbalize_label(name, verbalizer) for name in label_names]
-    seqs = tuple(tokenize(p, vocab, config.max_len) for p in phrases)
-    labels = LabelSet(label_names=tuple(label_names), token_seqs=seqs)
+    labels = _label_set(label_names, vocab, config.max_len, verbalizer)
     enc, head = _assemble(store.params, config)
     return Model(config=config, vocab=vocab, labels=labels, enc=enc, head=head)

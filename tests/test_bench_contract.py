@@ -1,6 +1,7 @@
 """The hooks the benchmark relies on (perfbench/tracer.py, read here and
-never modified): the functions it wraps exist, and training reaches the two
-step-boundary functions through module globals, once per optimizer step."""
+never modified): the functions it wraps exist, training reaches the two
+step-boundary functions through module globals, once per optimizer step, and
+the benchmark's own self-test runs every workload on this program."""
 
 import importlib
 import importlib.util
@@ -12,18 +13,18 @@ import labelmatch.trainer
 from labelmatch.corpus import Example, make_dataset
 from labelmatch.trainer import TrainConfig, train
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_by_path(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves_to_a_function_of_its_module():
-    tracer = load_tracer()
+    tracer = load_by_path(PERFBENCH / "tracer.py")
     for mod_name, fn_names in tracer.TARGETS.items():
         module = importlib.import_module(f"labelmatch.{mod_name}")
         for fn_name in fn_names:
@@ -33,7 +34,7 @@ def test_every_traced_name_resolves_to_a_function_of_its_module():
 
 
 def test_one_epoch_times_one_sample_per_optimizer_step(monkeypatch):
-    tracer = load_tracer()
+    tracer = load_by_path(PERFBENCH / "tracer.py")
     calls = {"batch_step": 0, "adam_step": 0}
     for name in calls:
         real = getattr(labelmatch.trainer, name)
@@ -54,3 +55,10 @@ def test_one_epoch_times_one_sample_per_optimizer_step(monkeypatch):
     assert len(steps.step_ns) == expected
     assert calls == {"batch_step": expected, "adam_step": expected}
     assert tracer.installed_wrappers() == []
+
+
+def test_benchmark_selftest():
+    # every workload once untraced and once traced at a tiny size, through
+    # the same calls the benchmark makes
+    selftest = load_by_path(PERFBENCH / "selftest.py")
+    selftest.test_every_metric_with_its_unit_and_no_wrapper_left()

@@ -230,6 +230,30 @@ class TestCorruptedEvalInput:
         assert peak < 16 << 20
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["stats", "eval", "train"])
+    def test_directory_in_place_of_a_file(self, toy_files, tmp_path, capsys, command):
+        train, test = toy_files
+        argv = {"stats": ["--data", tmp_path],
+                "eval": ["--checkpoint", tmp_path, "--test", test],
+                "train": ["--train", train, "--test", test, "--dim", "8", "--epochs", "0",
+                          "--out", tmp_path]}[command]
+        assert_clean_exit_two(capsys, command, *argv, message="Is a directory")
+
+    def test_dataset_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("X\tcaf\xe9 au lait\n".encode("latin-1"))
+        assert_clean_exit_two(capsys, "stats", "--data", path, message="not UTF-8")
+
+    def test_verbalizer_not_utf8(self, toy_files, tmp_path, capsys):
+        train, test = toy_files
+        verbalizer = tmp_path / "verbalizer.json"
+        verbalizer.write_bytes('{"color": "couleur \xe9"}'.encode("latin-1"))
+        assert_clean_exit_two(capsys, "train", "--train", train, "--test", test, "--dim", "8",
+                              "--epochs", "0", "--verbalizer", verbalizer,
+                              "--out", tmp_path / "model.ckpt", message="not valid JSON")
+
+
 class TestAblationCommand:
     def test_three_rows_and_csv_twin(self, toy_files, tmp_path, capsys):
         train, test = toy_files

@@ -10,7 +10,7 @@ from labelmatch.corpus import (Example, build_vocab, load_dataset, make_dataset,
 from labelmatch.errors import CheckpointError, DataError, TrainingError
 from labelmatch.nncore import ParamStore, ParamTensor
 from labelmatch.trainer import (ADAM_BLOCK, Model, TrainConfig, adam_step, batch_step,
-                                build_model, evaluate, init_params,
+                                build_model, evaluate, forward, init_params,
                                 load_checkpoint, save_checkpoint,
                                 shuffled_indices, train)
 
@@ -137,9 +137,9 @@ class TestAdamStep:
 class TestInitParams:
     def test_same_seed_bitwise_identical(self):
         config = TrainConfig(fusion_mode="none", dim=8, seed=42)
-        enc_a, head_a = init_params(config, vocab_size=30, num_classes=4)
-        enc_b, head_b = init_params(config, vocab_size=30, num_classes=4)
-        for x, y in zip(enc_a.all() + head_a.all(), enc_b.all() + head_b.all()):
+        enc_a, _ = init_params(config, vocab_size=30, num_classes=4)
+        enc_b, _ = init_params(config, vocab_size=30, num_classes=4)
+        for x, y in zip(enc_a.emb.store.params, enc_b.emb.store.params):
             np.testing.assert_array_equal(x.value, y.value)
 
     def test_different_seed_differs(self):
@@ -251,6 +251,21 @@ class TestTrain:
             train(TrainConfig(learning_rate=0.0), train_set, eval_set)
         with pytest.raises(DataError):
             train(TrainConfig(fusion_mode="concat"), train_set, eval_set)
+
+
+class TestPredictLogits:
+    @pytest.mark.parametrize("mode", ["add", "dot"])
+    def test_follows_the_encoder_through_training(self, toy_sets, mode):
+        # label vectors encoded before these steps would be stale after them
+        train_set, _ = toy_sets
+        model = build_model(TrainConfig(fusion_mode=mode, dim=8), train_set)
+        seqs, targets = labelmatch.trainer._tokenize_dataset(model, train_set)
+        model.predict_logits(seqs[0])
+        for t in range(1, 6):
+            batch_step(model, seqs, targets)
+            adam_step(model.parameters(), lr=1e-2, t=t)
+        expected, _ = forward(model, [seqs[0]])
+        assert np.array_equal(bits(model.predict_logits(seqs[0])), bits(expected[0]))
 
 
 class TestEvaluate:
