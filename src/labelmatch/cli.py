@@ -7,19 +7,22 @@ cmd_train writes three files next to --out PATH: the checkpoint itself, a
 history CSV at PATH.history.csv (no header; one `epoch,train_loss,
 train_acc,test_acc` line per epoch), and a run manifest at
 PATH.manifest.json recording the config, dataset paths with sha256 content
-hashes, and timestamps. cmd_eval rebuilds the vocabulary from the
-manifest's train dataset (override with --train) and refuses fingerprint
-mismatches.
+hashes, and timestamps. It checks that --out can be written before the
+first epoch, so a bad path exits 2 without training. cmd_eval rebuilds the
+vocabulary from the manifest's train dataset (override with --train) and
+refuses fingerprint mismatches.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import multiprocessing
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -153,10 +156,21 @@ def _write_manifest(path, args, config: TrainConfig, started: float) -> None:
         f.write("\n")
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that writing the checkpoint and its two companion
+    files would meet: a directory at `path`, or a directory that does not
+    take new files."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
+        pass
+
+
 def cmd_train(args) -> int:
     started = time.time()
     train_set, test_set, verbalizer = _load_pair(args)
     config = _config_from_args(args)
+    _check_writable(args.out)  # fail before training, not after it
 
     def progress(stats):
         print(f"epoch={stats.epoch} train_loss={stats.train_loss:.4f} "

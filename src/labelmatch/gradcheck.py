@@ -189,11 +189,13 @@ def _min_shift(values: np.ndarray, margin: float) -> float:
 
 def _relu_inputs(model: Model, seqs) -> tuple[np.ndarray, np.ndarray | None]:
     """From the model's forward pass: the FFN preactivations of every row it
-    encodes, and for the additive head the fused text+label vectors (else
-    None)."""
+    encodes (recomputed from the cached FFN input), and for the additive head
+    the fused text+label vectors (else None)."""
     _, (encode_cache, score_cache) = forward(model, seqs)
+    ffn = encode_cache.ffn_cache
     fused = score_cache.fused
-    return encode_cache.ffn_cache.pre, None if fused is None else fused.reshape(-1, fused.shape[2])
+    return (ffn.x @ ffn.w1.value + ffn.b1.value,
+            None if fused is None else fused.reshape(-1, fused.shape[2]))
 
 
 def _nudge_relu_safe(model: Model, seqs, margin: float) -> None:

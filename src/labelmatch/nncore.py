@@ -229,8 +229,7 @@ def attention_backward(d_out: np.ndarray, cache: AttnCache) -> np.ndarray:
 @dataclass
 class FfnCache:
     x: np.ndarray
-    pre: np.ndarray      # x @ w1 + b1
-    hidden: np.ndarray   # relu(pre)
+    hidden: np.ndarray   # relu(x @ w1 + b1)
     w1: ParamTensor
     b1: ParamTensor
     w2: ParamTensor
@@ -240,17 +239,18 @@ class FfnCache:
 def ffn_forward(x: np.ndarray, w1: ParamTensor, b1: ParamTensor,
                 w2: ParamTensor, b2: ParamTensor):
     """relu(x @ w1 + b1) @ w2 + b2, applied row-wise."""
-    pre = x @ w1.value + b1.value
-    hidden = np.maximum(pre, 0)
+    hidden = x @ w1.value
+    hidden += b1.value
+    np.maximum(hidden, 0, out=hidden)
     out = hidden @ w2.value + b2.value
-    return out, FfnCache(x=x, pre=pre, hidden=hidden, w1=w1, b1=b1, w2=w2, b2=b2)
+    return out, FfnCache(x=x, hidden=hidden, w1=w1, b1=b1, w2=w2, b2=b2)
 
 
 def ffn_backward(d_out: np.ndarray, cache: FfnCache) -> np.ndarray:
     cache.w2.grad += cache.hidden.T @ d_out
     cache.b2.grad += d_out.sum(axis=0)
     d_pre = d_out @ cache.w2.value.T
-    d_pre *= cache.pre > 0  # relu'(0) taken as 0
+    d_pre *= cache.hidden > 0  # equals pre > 0: relu'(0) is taken as 0
     cache.w1.grad += cache.x.T @ d_pre
     cache.b1.grad += d_pre.sum(axis=0)
     return d_pre @ cache.w1.value.T

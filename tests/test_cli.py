@@ -240,6 +240,20 @@ class TestUnreadableInput:
                           "--out", tmp_path]}[command]
         assert_clean_exit_two(capsys, command, *argv, message="Is a directory")
 
+    @pytest.mark.parametrize("out, message", [(".", "Is a directory"),
+                                              ("missing/model.ckpt", "No such file"),
+                                              ("a-file/model.ckpt", "Not a directory")],
+                             ids=["directory", "missing-directory", "file-as-directory"])
+    def test_train_refuses_out_before_the_first_epoch(self, trec6_train_path, trec6_test_path,
+                                                      tmp_path, capsys, out, message):
+        (tmp_path / "a-file").write_text("", encoding="utf-8")
+        assert run_cli("train", "--train", trec6_train_path, "--test", trec6_test_path,
+                       "--epochs", "1", "--out", tmp_path / out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+        assert "epoch=" not in captured.out
+
     def test_dataset_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.tsv"
         path.write_bytes("X\tcaf\xe9 au lait\n".encode("latin-1"))

@@ -1,4 +1,11 @@
+import errno
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +339,62 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path, model.vocab, model.labels.label_names)
+
+    def test_failed_write_leaves_previous_checkpoint(self, toy_sets, tmp_path, monkeypatch):
+        train_set, _ = toy_sets
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"older contents")
+        save_checkpoint(build_model(TrainConfig(dim=8, seed=1), train_set), path)
+        assert list(tmp_path.iterdir()) == [path]
+        previous = path.read_bytes()
+        real_write_str = labelmatch.trainer._write_str
+
+        def disk_full_at_w1(f, text):
+            if text == "w1":  # the payloads of emb, pos, wq, wk and wv are written
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_write_str(f, text)
+
+        monkeypatch.setattr(labelmatch.trainer, "_write_str", disk_full_at_w1)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(build_model(TrainConfig(dim=8, seed=2), train_set), path)
+        assert path.read_bytes() == previous
+        assert list(tmp_path.iterdir()) == [path]
+
+
+FAULTS_PER_STEP = textwrap.dedent("""
+    import resource
+    import labelmatch as lm
+    from labelmatch.trainer import _tokenize_dataset, adam_step, batch_step
+
+    train_set = lm.load_dataset({path!r})
+    config = lm.TrainConfig(fusion_mode="dot", seed=0)
+    model = lm.build_model(config, train_set)
+    seqs, targets = _tokenize_dataset(model, train_set)
+    step = 0
+
+    def run(steps):
+        global step
+        for _ in range(steps):
+            lo = step * config.batch_size
+            batch_step(model, seqs[lo:lo + config.batch_size],
+                       targets[lo:lo + config.batch_size])
+            step += 1
+            adam_step(model.parameters(), config.learning_rate, step)
+
+    run(20)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(40)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_atis_steps_reuse_freed_heap(atis_train_path):
+    """Each ATIS dot step allocates and frees about 1.5 MiB; with the heap
+    trimmed after every step, each step faulted 200-500 pages back in."""
+    src = Path(labelmatch.trainer.__file__).resolve().parents[1]
+    code = FAULTS_PER_STEP.format(path=str(atis_train_path))
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                            capture_output=True, text=True, timeout=300, check=True)
+    assert float(result.stdout) <= 10
