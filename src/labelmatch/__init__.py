@@ -5,7 +5,7 @@ training, and a finite-difference verification suite."""
 from .corpus import (Dataset, DatasetStats, Example, TokenSeq, Vocabulary,
                      build_vocab, dataset_stats, load_dataset, load_verbalizer,
                      save_dataset, tokenize, verbalize_label, vocab_fingerprint)
-from .encoder import EncoderParams, LabelSet, encode, encode_labels
+from .encoder import EncoderParams, LabelSet, encode
 from .errors import (CheckpointError, DataError, LabelMatchError,
                      TrainingError, VerificationError)
 from .fusion import FusionHead, score_add, score_baseline, score_dot

@@ -31,6 +31,7 @@ from pathlib import Path
 
 from .corpus import dataset_stats, load_dataset, load_verbalizer
 from .errors import DataError, LabelMatchError, VerificationError
+from .fusion import FUSION_MODES
 from .gradcheck import run_all
 from .trainer import (CLI_BATCH_SIZES, TrainConfig, evaluate, load_checkpoint, model_vocab,
                       read_checkpoint_header, save_checkpoint, train)
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train", required=True, help="train TSV (label<TAB>text)")
         p.add_argument("--test", required=True, help="test TSV")
         if with_fusion:
-            p.add_argument("--fusion", choices=["none", "add", "dot"], default="dot")
+            p.add_argument("--fusion", choices=FUSION_MODES, default="dot")
         p.add_argument("--dim", type=_bounded_int("dim", 1, 4096), default=64)
         p.add_argument("--batch", type=_batch_size, default=32,
                        metavar="{32,64}")

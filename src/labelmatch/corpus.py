@@ -49,22 +49,13 @@ class Vocabulary:
     tokens: tuple[str, ...]
     id_of: Mapping[str, int]
 
-    @property
-    def pad_id(self) -> int:
-        return PAD_ID
-
-    @property
-    def unk_id(self) -> int:
-        return UNK_ID
-
     def __len__(self) -> int:
         return len(self.tokens)
 
 
 @dataclass(frozen=True)
 class TokenSeq:
-    ids: np.ndarray    # int64, length max_len, padded with PAD_ID
-    mask: np.ndarray   # bool, True exactly for the first true_len positions
+    ids: np.ndarray    # int64, length max_len: true_len token ids, then PAD_ID
     true_len: int
 
 
@@ -177,9 +168,7 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSeq:
     n = len(words)
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
     ids[:n] = [vocab.id_of.get(w, UNK_ID) for w in words]
-    mask = np.zeros(max_len, dtype=bool)
-    mask[:n] = True
-    return TokenSeq(ids=ids, mask=mask, true_len=n)
+    return TokenSeq(ids=ids, true_len=n)
 
 
 def verbalize_label(label_name: str, verbalizer: Mapping[str, str] | None = None) -> str:

@@ -5,9 +5,9 @@ phrases; there is no second parameter set, so label representations move
 whenever training updates the encoder.
 
 The forward pass takes a list of sequences and packs their valid prefixes
-(TokenSeq masks are prefixes by construction) into one array, stably sorted
-by length so equal lengths sit together: row-wise layers run once over every
-row, attention once per length (see nncore). Padding never enters, and a
+(a TokenSeq's first true_len ids) into one array, stably sorted by length so
+equal lengths sit together: row-wise layers run once over every row,
+attention once per length (see nncore). Padding never enters, and a
 sequence's vector does not depend on which sequences share its pack beyond
 floating-point summation order.
 """
@@ -111,11 +111,6 @@ def encode(seq: TokenSeq, params: EncoderParams) -> np.ndarray:
 def encode_labels_forward(labels: LabelSet, params: EncoderParams):
     """Every label phrase in one packed pass; returns (K x d matrix, cache)."""
     return encode_batch_forward(labels.token_seqs, params)
-
-
-def encode_labels(labels: LabelSet, params: EncoderParams) -> np.ndarray:
-    matrix, _ = encode_labels_forward(labels, params)
-    return matrix
 
 
 def encode_labels_backward(d_matrix: np.ndarray, cache: EncodeCache) -> None:

@@ -13,9 +13,11 @@ Three modes:
   with a learnable log inverse-temperature s; exp(s) is clamped to at
   most 100.
 
-Each rule is written once, in score_forward and score_backward, over a
-(B, d) batch of sentence vectors giving (B, K) logits; a single (d,) vector
-gives (K,) logits.
+Each head's parameters (names, shapes, init rules) are declared once, in
+head_template, and uses_labels says which heads read the label matrix. Each
+rule is written once, in score_forward and score_backward, over a (B, d)
+batch of sentence vectors giving (B, K) logits; a single (d,) vector gives
+(K,) logits.
 """
 
 from __future__ import annotations
@@ -35,10 +37,25 @@ class FusionHead:
     """Parameters of one scoring head; only its own mode's fields exist."""
 
     mode: str
-    w_out: ParamTensor | None = None   # none: K x d
-    b_out: ParamTensor | None = None   # none/add: K
-    w_mix: ParamTensor | None = None   # add: d
-    log_scale: ParamTensor | None = None  # dot: shape (1,)
+    w_out: ParamTensor | None = None
+    b_out: ParamTensor | None = None
+    w_mix: ParamTensor | None = None
+    log_scale: ParamTensor | None = None
+
+
+def head_template(mode: str, k: int, d: int) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init rule) for every parameter of a `mode` head over K
+    classes and d-vectors, in declaration order; names are FusionHead fields."""
+    if mode == "none":
+        return [("w_out", (k, d), "xavier"), ("b_out", (k,), "zero")]
+    if mode == "add":
+        return [("w_mix", (d,), "xavier"), ("b_out", (k,), "zero")]
+    return [("log_scale", (1,), "log10")]
+
+
+def uses_labels(mode: str) -> bool:
+    """Whether a `mode` head reads the label matrix."""
+    return mode != "none"
 
 
 @dataclass
@@ -83,7 +100,7 @@ def score_forward(t: np.ndarray, labels: np.ndarray | None, head: FusionHead):
     if head.mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {head.mode!r}")
     tb = np.atleast_2d(t)
-    if head.mode != "none":
+    if uses_labels(head.mode):
         if labels is None:
             raise ValueError(f"{head.mode!r} fusion needs a label matrix")
         _require_labels(head, tb, labels)

@@ -1,7 +1,8 @@
 """Finite-difference verification of every backward pass, in float64.
 
 Per-layer checks isolate one primitive with a fixed random projection to a
-scalar; full-model checks run the complete text+label pipeline for each
+scalar, and build each head from fusion.head_template as the model does;
+full-model checks run the complete text+label pipeline for each
 fusion mode on a synthetic corpus. Central differences are meaningless at a
 relu kink, so full-model instances get their biases nudged until every
 preactivation (FFN hidden units, and the fused vectors of the additive head)
@@ -15,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .corpus import Example, make_dataset, tokenize
+from .corpus import Example, make_dataset
 from .errors import VerificationError
-from .fusion import FusionHead, score_backward, score_forward
+from .fusion import (FUSION_MODES, FusionHead, head_template, score_backward,
+                     score_forward, uses_labels)
 from .nncore import GradCheckReport, ParamTensor, finite_diff_check
-from .trainer import Model, TrainConfig, batch_step, build_model, forward
+from .trainer import Model, TrainConfig, _tokenize_dataset, batch_step, build_model, forward
 
 LAYER_THRESHOLD = 1e-6
 MODEL_THRESHOLD = 1e-3
@@ -44,6 +46,35 @@ def _param(rng: np.random.Generator, name: str, shape) -> ParamTensor:
     return ParamTensor(name, rng.uniform(-0.5, 0.5, size=shape))
 
 
+def _projected(op_name: str, rng: np.random.Generator, params: list[ParamTensor],
+               run, backward) -> GradCheckReport:
+    """Check the gradient of sum(proj * out) over `params`.
+
+    run() is the forward pass over the current values, returning (out,
+    cache). proj is drawn from `rng` after the parameters. backward(proj,
+    cache) accumulates the parameter gradients and returns (input parameter,
+    gradient) pairs, which are added here; a None gradient is skipped.
+    """
+    out, cache = run()
+    proj = rng.uniform(-1, 1, size=out.shape)
+    for p, grad in backward(proj, cache) or ():
+        if grad is not None:
+            p.grad += grad
+    return finite_diff_check(op_name, lambda: float((proj * run()[0]).sum()), params)
+
+
+def _relu_safe(seed: int, build, pre):
+    """(rng, instance) for the first of 50 seeds from `seed` whose instance =
+    build(rng) keeps every relu input pre(instance) off its kink; pre=None
+    accepts the first instance."""
+    for s in range(seed, seed + 50):
+        rng = _rng(s)
+        instance = build(rng)
+        if pre is None or np.abs(pre(instance)).min() > RELU_MARGIN:
+            return rng, instance
+    raise VerificationError("no relu-safe instance found")
+
+
 def check_embedding() -> GradCheckReport:
     rng = _rng(11)
     v, d = 7, 5
@@ -51,15 +82,9 @@ def check_embedding() -> GradCheckReport:
     pos = _param(rng, "pos", (4, d))
     segs = nncore.segments([4, 2])
     ids = np.array([3, 3, 1, 6, 1, 3])  # duplicate ids within and across segments
-    proj = rng.uniform(-1, 1, size=(6, d))
-
-    def loss() -> float:
-        out, _ = nncore.embed_forward(ids, segs.positions, emb, pos)
-        return float((proj * out).sum())
-
-    out, cache = nncore.embed_forward(ids, segs.positions, emb, pos)
-    nncore.embed_backward(proj, cache)
-    return finite_diff_check("embedding", loss, [emb, pos])
+    return _projected("embedding", rng, [emb, pos],
+                      lambda: nncore.embed_forward(ids, segs.positions, emb, pos),
+                      nncore.embed_backward)
 
 
 def check_attention() -> GradCheckReport:
@@ -70,40 +95,20 @@ def check_attention() -> GradCheckReport:
     wq = _param(rng, "wq", (d, d))
     wk = _param(rng, "wk", (d, d))
     wv = _param(rng, "wv", (d, d))
-    proj = rng.uniform(-1, 1, size=(8, d))
-
-    def loss() -> float:
-        out, _ = nncore.attention_forward(x.value, segs, wq, wk, wv)
-        return float((proj * out).sum())
-
-    out, cache = nncore.attention_forward(x.value, segs, wq, wk, wv)
-    x.grad += nncore.attention_backward(proj, cache)
-    return finite_diff_check("attention", loss, [x, wq, wk, wv])
+    return _projected("attention", rng, [x, wq, wk, wv],
+                      lambda: nncore.attention_forward(x.value, segs, wq, wk, wv),
+                      lambda proj, cache: [(x, nncore.attention_backward(proj, cache))])
 
 
 def check_ffn() -> GradCheckReport:
     m, d, h = 4, 5, 8
-    for seed in range(13, 13 + 50):
-        rng = _rng(seed)
-        x = _param(rng, "x", (m, d))
-        w1 = _param(rng, "w1", (d, h))
-        b1 = _param(rng, "b1", (h,))
-        w2 = _param(rng, "w2", (h, d))
-        b2 = _param(rng, "b2", (d,))
-        pre = x.value @ w1.value + b1.value
-        if np.abs(pre).min() > RELU_MARGIN:
-            break
-    else:
-        raise VerificationError("no relu-safe FFN instance found")
-    proj = rng.uniform(-1, 1, size=(m, d))
-
-    def loss() -> float:
-        out, _ = nncore.ffn_forward(x.value, w1, b1, w2, b2)
-        return float((proj * out).sum())
-
-    out, cache = nncore.ffn_forward(x.value, w1, b1, w2, b2)
-    x.grad += nncore.ffn_backward(proj, cache)
-    return finite_diff_check("ffn", loss, [x, w1, b1, w2, b2])
+    shapes = (("x", (m, d)), ("w1", (d, h)), ("b1", (h,)), ("w2", (h, d)), ("b2", (d,)))
+    rng, params = _relu_safe(13, lambda rng: [_param(rng, *entry) for entry in shapes],
+                             lambda ps: ps[0].value @ ps[1].value + ps[2].value)
+    x, w1, b1, w2, b2 = params
+    return _projected("ffn", rng, params,
+                      lambda: nncore.ffn_forward(x.value, w1, b1, w2, b2),
+                      lambda proj, cache: [(x, nncore.ffn_backward(proj, cache))])
 
 
 def check_mean_pool() -> GradCheckReport:
@@ -111,13 +116,9 @@ def check_mean_pool() -> GradCheckReport:
     d = 5
     segs = nncore.segments([3, 1, 2])
     x = _param(rng, "x", (6, d))
-    proj = rng.uniform(-1, 1, size=(3, d))
-
-    def loss() -> float:
-        return float((proj * nncore.mean_pool_masked(x.value, segs)).sum())
-
-    x.grad += nncore.mean_pool_backward(proj, segs)
-    return finite_diff_check("mean_pool", loss, [x])
+    return _projected("mean_pool", rng, [x],
+                      lambda: (nncore.mean_pool_masked(x.value, segs), segs),
+                      lambda proj, cache: [(x, nncore.mean_pool_backward(proj, cache))])
 
 
 def check_cross_entropy() -> GradCheckReport:
@@ -133,45 +134,25 @@ def check_cross_entropy() -> GradCheckReport:
     return finite_diff_check("cross_entropy", loss, [logits])
 
 
-def _make_head(mode: str, rng: np.random.Generator, k: int, d: int):
-    """A head of `mode` with random parameters; returns (head, its parameters)."""
-    if mode == "none":
-        params = [_param(rng, "head.w_out", (k, d)), _param(rng, "head.b_out", (k,))]
-    elif mode == "add":
-        params = [_param(rng, "head.w_mix", (d,)), _param(rng, "head.b_out", (k,))]
-    else:
-        params = [ParamTensor("head.log_scale", np.array([np.log(10.0)]))]
-    head = FusionHead(mode=mode, **{p.name.removeprefix("head."): p for p in params})
-    return head, params
-
-
 def check_head(mode: str) -> GradCheckReport:
+    """The `mode` head over parameters drawn in fusion.head_template order:
+    uniform draws, log 10 for the log10 rule."""
     b, k, d = 3, 4, 5
-    for seed in range(16, 16 + 50):
-        rng = _rng(seed)
-        t = _param(rng, "t", (b, d))
-        labels = _param(rng, "labels", (k, d))
-        head, head_params = _make_head(mode, rng, k, d)
-        fused = t.value[:, None, :] + labels.value[None, :, :]
-        if mode != "add" or np.abs(fused).min() > RELU_MARGIN:
-            break
-    else:
-        raise VerificationError("no relu-safe head instance found")
-    proj = rng.uniform(-1, 1, size=(b, k))
-    consulted = None if mode == "none" else labels
 
-    def loss() -> float:
-        logits, _ = score_forward(t.value, None if consulted is None else consulted.value, head)
-        return float((proj * logits).sum())
+    def build(rng):
+        return [_param(rng, "t", (b, d)), _param(rng, "labels", (k, d))] + [
+            ParamTensor(name, np.full(shape, np.log(10.0))) if rule == "log10"
+            else _param(rng, name, shape) for name, shape, rule in head_template(mode, k, d)]
 
-    logits, cache = score_forward(t.value, None if consulted is None else consulted.value, head)
-    d_t, d_labels = score_backward(proj, cache)
-    t.grad += d_t
-    params = [t] + head_params
-    if d_labels is not None:
-        labels.grad += d_labels
-        params.append(labels)
-    return finite_diff_check(f"head_{mode}", loss, params)
+    def fused(ps):  # the additive head's relu inputs
+        return ps[0].value[:, None, :] + ps[1].value[None, :, :]
+
+    rng, (t, labels, *head_params) = _relu_safe(16, build, fused if mode == "add" else None)
+    head = FusionHead(mode=mode, **{p.name: p for p in head_params})
+    reads = uses_labels(mode)
+    return _projected(f"head_{mode}", rng, [t, *head_params] + ([labels] if reads else []),
+                      lambda: score_forward(t.value, labels.value if reads else None, head),
+                      lambda proj, cache: zip((t, labels), score_backward(proj, cache)))
 
 
 # --- full model -------------------------------------------------------------------
@@ -244,17 +225,10 @@ def _synthetic_instance(mode: str, dim: int, max_len: int, vocab_size: int):
     if len(model.vocab) != vocab_size:
         raise VerificationError(f"synthetic vocab has {len(model.vocab)} entries, "
                                 f"wanted {vocab_size}")
-    seqs, targets = _gradcheck_batch(model, dataset)
+    seqs, targets = _tokenize_dataset(model, dataset)
+    seqs, targets = [seqs[i] for i in (0, -2, -1)], [targets[i] for i in (0, -2, -1)]
     _nudge_relu_safe(model, seqs, RELU_MARGIN)
     return model, seqs, targets
-
-
-def _gradcheck_batch(model: Model, dataset):
-    index = {name: i for i, name in enumerate(model.labels.label_names)}
-    picked = [dataset.examples[i] for i in (0, len(dataset.examples) - 2, len(dataset.examples) - 1)]
-    seqs = [tokenize(ex.text, model.vocab, model.config.max_len) for ex in picked]
-    targets = [index[ex.label_name] for ex in picked]
-    return seqs, targets
 
 
 def _min_relu_margin(model: Model, seqs) -> float:
@@ -289,9 +263,7 @@ def run_all(dim: int = 8, max_len: int = 6, vocab_size: int = 50) -> list[CheckO
         CheckOutcome(check_mean_pool(), LAYER_THRESHOLD),
         CheckOutcome(check_cross_entropy(), LAYER_THRESHOLD),
     ]
-    for mode in ("none", "add", "dot"):
-        outcomes.append(CheckOutcome(check_head(mode), LAYER_THRESHOLD))
-    for mode in ("none", "add", "dot"):
-        outcomes.append(CheckOutcome(check_full_model(mode, dim, max_len, vocab_size),
-                                     MODEL_THRESHOLD))
+    outcomes += [CheckOutcome(check_head(mode), LAYER_THRESHOLD) for mode in FUSION_MODES]
+    outcomes += [CheckOutcome(check_full_model(mode, dim, max_len, vocab_size), MODEL_THRESHOLD)
+                 for mode in FUSION_MODES]
     return outcomes

@@ -53,7 +53,8 @@ from .corpus import (Dataset, TokenSeq, Vocabulary, build_vocab, tokenize,
 from .encoder import (EncoderParams, LabelSet, encode_batch_backward,
                       encode_batch_forward, encode_labels_forward)
 from .errors import CheckpointError, DataError, TrainingError
-from .fusion import FUSION_MODES, FusionHead, score_backward, score_forward
+from .fusion import (FUSION_MODES, FusionHead, head_template, score_backward,
+                     score_forward, uses_labels)
 from .nncore import ParamStore, ParamTensor, cross_entropy
 
 MASK64 = (1 << 64) - 1
@@ -141,6 +142,8 @@ CLI_BATCH_SIZES = (32, 64)  # the CLI restricts batch size to these two
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Checked on construction: an invalid config raises DataError."""
+
     batch_size: int = 32
     epochs: int = 10
     learning_rate: float = 1e-3
@@ -150,7 +153,7 @@ class TrainConfig:
     max_len: int = 32
     min_freq: int = 1
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -161,7 +164,6 @@ class TrainConfig:
             raise DataError(f"fusion_mode must be one of {FUSION_MODES}")
         if min(self.dim, self.max_len, self.min_freq) < 1:
             raise DataError("dim, max_len and min_freq must all be >= 1")
-        return self
 
 
 @dataclass
@@ -197,10 +199,11 @@ class Model:
 # --- initialization ----------------------------------------------------------------
 
 def _param_template(config: TrainConfig, vocab_size: int, num_classes: int):
-    """(name, shape, init rule) for every parameter, in declaration order."""
+    """(name, shape, init rule) for every parameter, in declaration order:
+    the encoder's, then the head's from fusion.head_template, "head."-prefixed."""
     d, m = config.dim, config.max_len
     h = 4 * d
-    entries = [
+    return [
         ("emb", (vocab_size, d), "xavier"),
         ("pos", (m, d), "pos"),
         ("wq", (d, d), "xavier"),
@@ -210,16 +213,8 @@ def _param_template(config: TrainConfig, vocab_size: int, num_classes: int):
         ("b1", (h,), "zero"),
         ("w2", (h, d), "xavier"),
         ("b2", (d,), "zero"),
-    ]
-    if config.fusion_mode == "none":
-        entries += [("head.w_out", (num_classes, d), "xavier"),
-                 ("head.b_out", (num_classes,), "zero")]
-    elif config.fusion_mode == "add":
-        entries += [("head.w_mix", (d,), "xavier"),
-                 ("head.b_out", (num_classes,), "zero")]
-    else:
-        entries += [("head.log_scale", (1,), "log10")]
-    return entries
+    ] + [(f"head.{name}", shape, rule) for name, shape, rule
+         in head_template(config.fusion_mode, num_classes, d)]
 
 
 def _xavier_bound(shape: tuple[int, ...]) -> float:
@@ -275,7 +270,6 @@ def build_model(config: TrainConfig, train_set: Dataset,
                 verbalizer: dict[str, str] | None = None,
                 dtype=np.float32) -> Model:
     """Vocabulary, verbalized label set, and freshly initialized parameters."""
-    config.validate()
     vocab = model_vocab(train_set, config.min_freq, verbalizer)
     labels = _label_set(train_set.label_names, vocab, config.max_len, verbalizer)
     enc, head = init_params(config, len(vocab), labels.num_classes, dtype=dtype)
@@ -329,15 +323,11 @@ def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
 
 # --- training --------------------------------------------------------------------
 
-def _uses_labels(mode: str) -> bool:
-    return mode != "none"
-
-
 def forward(model: Model, seqs: list[TokenSeq]):
     """Logits (len(seqs) x K) from one packed encoder pass over the texts
     and, when the head consults labels, the K label phrases."""
     n = len(seqs)
-    phrases = list(model.labels.token_seqs) if _uses_labels(model.head.mode) else []
+    phrases = list(model.labels.token_seqs) if uses_labels(model.head.mode) else []
     vecs, encode_cache = encode_batch_forward(list(seqs) + phrases, model.enc)
     logits, score_cache = score_forward(vecs[:n], vecs[n:] if phrases else None, model.head)
     return logits, (encode_cache, score_cache)
@@ -368,15 +358,14 @@ class EvalResult:
         return 100.0 * self.correct / self.total
 
 
-def evaluate_seqs(model: Model, seqs: list[TokenSeq], targets: list[int],
-                  label_names: tuple[str, ...]) -> EvalResult:
+def evaluate_seqs(model: Model, seqs: list[TokenSeq], targets: list[int]) -> EvalResult:
     """Argmax accuracy over pre-tokenized examples (read-only on the model).
 
     The label matrix is encoded once; texts go through the packed encoder in
     chunks of config.batch_size, which bounds the activations held at once.
     """
     matrix = None
-    if _uses_labels(model.head.mode):
+    if uses_labels(model.head.mode):
         matrix, _ = encode_labels_forward(model.labels, model.enc)
     preds = []
     for lo in range(0, len(seqs), model.config.batch_size):
@@ -384,10 +373,10 @@ def evaluate_seqs(model: Model, seqs: list[TokenSeq], targets: list[int],
         logits, _ = score_forward(vecs, matrix, model.head)
         preds.extend(logits.argmax(axis=1).tolist())
 
-    per_class = {name: [0, 0] for name in label_names}
+    per_class = {name: [0, 0] for name in model.labels.label_names}
     correct = 0
     for pred, target in zip(preds, targets):
-        gold = label_names[target]
+        gold = model.labels.label_names[target]
         per_class[gold][0] += 1
         if pred == target:
             per_class[gold][1] += 1
@@ -398,7 +387,7 @@ def evaluate_seqs(model: Model, seqs: list[TokenSeq], targets: list[int],
 
 def evaluate(model: Model, dataset: Dataset) -> EvalResult:
     seqs, targets = _tokenize_dataset(model, dataset)
-    return evaluate_seqs(model, seqs, targets, model.labels.label_names)
+    return evaluate_seqs(model, seqs, targets)
 
 
 def _tokenize_dataset(model: Model, dataset: Dataset):
@@ -421,11 +410,6 @@ def train(config: TrainConfig, train_set: Dataset, eval_set: Dataset,
     Deterministic: (config, seed, data) fix every parameter bit. The eval
     set's labels must all occur in the train set.
     """
-    config.validate()
-    missing = set(eval_set.label_names) - set(train_set.label_names)
-    if missing:
-        raise DataError(f"eval labels absent from train label set: {sorted(missing)}")
-
     model = build_model(config, train_set, verbalizer)
     train_seqs, train_targets = _tokenize_dataset(model, train_set)
     eval_seqs, eval_targets = _tokenize_dataset(model, eval_set)
@@ -445,8 +429,8 @@ def train(config: TrainConfig, train_set: Dataset, eval_set: Dataset,
             epoch_losses.extend(losses)
             step += 1
             adam_step(model.parameters(), config.learning_rate, step)
-        train_eval = evaluate_seqs(model, train_seqs, train_targets, model.labels.label_names)
-        test_eval = evaluate_seqs(model, eval_seqs, eval_targets, model.labels.label_names)
+        train_eval = evaluate_seqs(model, train_seqs, train_targets)
+        test_eval = evaluate_seqs(model, eval_seqs, eval_targets)
         stats = EpochStats(epoch=epoch + 1,
                            train_loss=sum(epoch_losses) / len(epoch_losses),
                            train_acc=train_eval.accuracy_pct,
@@ -558,7 +542,6 @@ def load_checkpoint(path, vocab: Vocabulary, label_names: tuple[str, ...],
     """
     with open(path, "rb") as f:
         config, fingerprint = _read_header(f, path)
-        config.validate()
         if fingerprint != vocab_fingerprint(vocab):
             raise CheckpointError(f"{path}: vocab fingerprint mismatch")
         shapes = [(name, shape) for name, shape, _ in

@@ -229,6 +229,4 @@ class TestCriterion7InvariantSuite:
 def _seq(ids, true_len, max_len):
     padded = np.zeros(max_len, dtype=np.int64)
     padded[: len(ids)] = ids
-    mask = np.zeros(max_len, dtype=bool)
-    mask[:true_len] = True
-    return lm.TokenSeq(ids=padded, mask=mask, true_len=true_len)
+    return lm.TokenSeq(ids=padded, true_len=true_len)

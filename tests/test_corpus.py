@@ -65,7 +65,8 @@ class TestBuildVocab:
         vocab = build_vocab(ds, min_freq=1)
         assert vocab.tokens == ("<pad>", "<unk>", "a", "b")
         assert len(vocab) == 4
-        assert vocab.pad_id == 0 and vocab.unk_id == 1
+        assert vocab.id_of["<pad>"] == PAD_ID == 0
+        assert vocab.id_of["<unk>"] == UNK_ID == 1
 
     def test_min_freq_two_drops_singletons(self):
         ds = make_dataset([Example("X", "a a b")])
@@ -108,7 +109,6 @@ class TestTokenize:
         vocab = build_vocab(make_dataset([Example("X", text)]))
         seq = tokenize(text, vocab, max_len=32)
         assert seq.true_len == 6
-        assert seq.mask.sum() == 6
 
     def test_truncation(self):
         words = " ".join(f"w{i}" for i in range(40))
@@ -139,8 +139,6 @@ class TestTokenize:
             return
         seq = tokenize(text, vocab, max_len)
         assert 1 <= seq.true_len <= max_len
-        assert seq.mask[:seq.true_len].all()
-        assert not seq.mask[seq.true_len:].any()
         assert (seq.ids[seq.true_len:] == PAD_ID).all()
 
 

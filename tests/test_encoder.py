@@ -4,8 +4,7 @@ import pytest
 import labelmatch.encoder
 import labelmatch.trainer
 from labelmatch.corpus import Example, TokenSeq, load_dataset, make_dataset, tokenize
-from labelmatch.encoder import (LabelSet, encode, encode_batch_forward, encode_labels,
-                                encode_labels_forward)
+from labelmatch.encoder import LabelSet, encode, encode_batch_forward, encode_labels_forward
 from labelmatch.trainer import TrainConfig, batch_step, build_model
 
 
@@ -13,9 +12,7 @@ def seq_of(ids, true_len, max_len=None):
     max_len = max_len or len(ids)
     padded = np.zeros(max_len, dtype=np.int64)
     padded[: len(ids)] = ids
-    mask = np.zeros(max_len, dtype=bool)
-    mask[:true_len] = True
-    return TokenSeq(ids=padded, mask=mask, true_len=true_len)
+    return TokenSeq(ids=padded, true_len=true_len)
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +85,13 @@ class TestEncodeLabels:
         ds = load_dataset(trec6_train_path)
         config = TrainConfig(fusion_mode="dot", dim=16, seed=0)
         model = build_model(config, ds)
-        matrix = encode_labels(model.labels, model.enc)
+        matrix = encode_labels_forward(model.labels, model.enc)[0]
         assert matrix.shape == (6, 16)
 
     def test_same_phrase_gives_identical_rows(self, tiny_model):
         seq = tokenize("red fish", tiny_model.vocab, 8)
         labels = LabelSet(label_names=("a", "b"), token_seqs=(seq, seq))
-        matrix = encode_labels(labels, tiny_model.enc)
+        matrix = encode_labels_forward(labels, tiny_model.enc)[0]
         np.testing.assert_array_equal(matrix[0], matrix[1])
 
     def test_embedding_perturbation_is_local_to_one_row(self, tiny_model):
@@ -103,10 +100,10 @@ class TestEncodeLabels:
         seq_a = tokenize("red", tiny_model.vocab, 8)
         seq_b = tokenize("green", tiny_model.vocab, 8)
         labels = LabelSet(label_names=("a", "b"), token_seqs=(seq_a, seq_b))
-        before = encode_labels(labels, tiny_model.enc)
+        before = encode_labels_forward(labels, tiny_model.enc)[0]
         green_id = tiny_model.vocab.id_of["green"]
         tiny_model.enc.emb.value[green_id, 0] += 0.125
-        after = encode_labels(labels, tiny_model.enc)
+        after = encode_labels_forward(labels, tiny_model.enc)[0]
         tiny_model.enc.emb.value[green_id, 0] -= 0.125
         np.testing.assert_array_equal(after[0], before[0])
         assert not np.array_equal(after[1], before[1])

@@ -8,7 +8,7 @@ import labelmatch.nncore
 import labelmatch.trainer
 import per_example_reference as reference
 from labelmatch.corpus import Example, make_dataset, tokenize
-from labelmatch.encoder import encode, encode_labels
+from labelmatch.encoder import encode, encode_labels_forward
 from labelmatch.fusion import score_forward
 from labelmatch.trainer import (TrainConfig, adam_step, batch_step, build_model,
                                 evaluate_seqs, forward)
@@ -67,7 +67,7 @@ class TestAgainstPerExampleReference:
         close(forward(model, seqs)[0], ref_logits)
         # scoring the reference's predictions as gold: all correct iff all agree
         preds = reference.predict(model, seqs)
-        result = evaluate_seqs(model, seqs, preds, model.labels.label_names)
+        result = evaluate_seqs(model, seqs, preds)
         assert result.correct == result.total == len(seqs)
 
 
@@ -92,7 +92,7 @@ def test_activations_and_gradients_keep_parameter_dtype(mode, dtype, monkeypatch
     model = build_model(config, make_dataset(EXAMPLES), dtype=dtype)
     seqs = [tokenize(t, model.vocab, 8) for t in TEXTS]
     vec = encode(seqs[0], model.enc)
-    labels = None if mode == "none" else encode_labels(model.labels, model.enc)
+    labels = None if mode == "none" else encode_labels_forward(model.labels, model.enc)[0]
     logits, _ = score_forward(vec, labels, model.head)
     assert vec.dtype == dtype and logits.dtype == dtype
 

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import math
 import os
@@ -258,6 +259,12 @@ class TestTrain:
             train(TrainConfig(learning_rate=0.0), train_set, eval_set)
         with pytest.raises(DataError):
             train(TrainConfig(fusion_mode="concat"), train_set, eval_set)
+
+    def test_invalid_config_cannot_be_constructed(self):
+        with pytest.raises(DataError, match="batch_size"):
+            TrainConfig(batch_size=0)
+        with pytest.raises(DataError, match="dim"):
+            dataclasses.replace(TrainConfig(), dim=0)
 
 
 class TestPredictLogits:
