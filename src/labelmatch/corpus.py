@@ -157,18 +157,28 @@ def build_vocab(dataset: Dataset, min_freq: int = 1,
     return Vocabulary(tokens=tokens, id_of={t: i for i, t in enumerate(tokens)})
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSeq:
-    """Lowercase, split on whitespace, map through `vocab`, truncate, pad."""
+def tokenize_texts(texts: list[str], vocab: Vocabulary, max_len: int) -> list[TokenSeq]:
+    """Lowercase, split on whitespace, map through `vocab`, truncate, pad.
+
+    One (len(texts), max_len) id array is filled row by row, one text's words
+    at a time; each returned TokenSeq's ids are a view of its row.
+    """
     if max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
-    words = _tokens(text)
-    if not words:
-        raise DataError("cannot tokenize empty text")
-    words = words[:max_len]
-    n = len(words)
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[:n] = [vocab.id_of.get(w, UNK_ID) for w in words]
-    return TokenSeq(ids=ids, true_len=n)
+    ids = np.full((len(texts), max_len), PAD_ID, dtype=np.int64)
+    seqs = []
+    for row, text in zip(ids, texts):
+        words = _tokens(text)[:max_len]
+        if not words:
+            raise DataError("cannot tokenize empty text")
+        row[:len(words)] = [vocab.id_of.get(w, UNK_ID) for w in words]
+        seqs.append(TokenSeq(ids=row, true_len=len(words)))
+    return seqs
+
+
+def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSeq:
+    """One text; see tokenize_texts."""
+    return tokenize_texts([text], vocab, max_len)[0]
 
 
 def verbalize_label(label_name: str, verbalizer: Mapping[str, str] | None = None) -> str:

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelmatch.corpus import (PAD_ID, UNK_ID, Example, build_vocab,
                                dataset_stats, load_dataset, load_verbalizer,
-                               make_dataset, save_dataset, tokenize,
+                               make_dataset, save_dataset, tokenize, tokenize_texts,
                                verbalize_label, vocab_fingerprint)
 from labelmatch.errors import DataError
 
@@ -140,6 +141,37 @@ class TestTokenize:
         seq = tokenize(text, vocab, max_len)
         assert 1 <= seq.true_len <= max_len
         assert (seq.ids[seq.true_len:] == PAD_ID).all()
+
+
+class TestTokenizeTexts:
+    TEXTS = ["When was the first liver transplant", "zzz-unknown-token known",
+             " ".join(f"w{i}" for i in range(40)), "Words"]
+
+    def test_each_equals_tokenize(self):
+        vocab = build_vocab(make_dataset([Example("X", "known words only " + self.TEXTS[2])]))
+        seqs = tokenize_texts(self.TEXTS, vocab, max_len=32)
+        assert [s.true_len for s in seqs] == [6, 2, 32, 1]
+        assert seqs[1].ids[0] == UNK_ID
+        assert seqs[2].ids[-1] == vocab.id_of["w31"]
+        assert (seqs[3].ids[1:] == PAD_ID).all()  # nothing left over from the row above
+        for text, seq in zip(self.TEXTS, seqs):
+            one = tokenize(text, vocab, max_len=32)
+            assert seq.true_len == one.true_len
+            assert np.array_equal(seq.ids, one.ids)
+
+    def test_rows_share_one_array(self):
+        vocab = build_vocab(make_dataset([Example("X", "known words only")]))
+        seqs = tokenize_texts(self.TEXTS, vocab, max_len=8)
+        base = seqs[0].ids.base
+        assert base is not None and base.shape == (len(self.TEXTS), 8)
+        assert all(s.ids.base is base for s in seqs)
+
+    def test_empty_text_and_zero_max_len_rejected(self):
+        vocab = build_vocab(make_dataset([Example("X", "a")]))
+        with pytest.raises(DataError, match="empty text"):
+            tokenize_texts(["a", " \t "], vocab, max_len=4)
+        with pytest.raises(DataError, match="max_len"):
+            tokenize_texts(["a"], vocab, max_len=0)
 
 
 class TestVerbalize:

@@ -55,7 +55,7 @@ class TestAgainstPerExampleReference:
             close(p.grad, ref_grads[p.name])
             p.zero_grad()
 
-    def test_logits_and_eval_predictions(self, mode):
+    def test_logits_and_eval_predictions(self, mode, monkeypatch):
         model, seqs, _ = float64_model(mode)
         v = {p.name: p.value for p in model.parameters()}
         labels = None
@@ -68,6 +68,21 @@ class TestAgainstPerExampleReference:
         # scoring the reference's predictions as gold: all correct iff all agree
         preds = reference.predict(model, seqs)
         result = evaluate_seqs(model, seqs, preds)
+        assert result.correct == result.total == len(seqs)
+
+        # 8-row chunks split the sorted lengths 1,2,2 | 4 | 6 | 7 | 7: the
+        # predictions must still come back in input order
+        chunks = []
+        real = labelmatch.trainer.encode_batch_forward
+
+        def counted(chunk, enc):
+            chunks.append(len(chunk))
+            return real(chunk, enc)
+
+        monkeypatch.setattr(labelmatch.trainer, "EVAL_ROWS", 8)
+        monkeypatch.setattr(labelmatch.trainer, "encode_batch_forward", counted)
+        result = evaluate_seqs(model, seqs, preds)
+        assert chunks == [3, 1, 1, 1, 1]
         assert result.correct == result.total == len(seqs)
 
 

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,33 @@ class TestEvaluate:
         assert result.correct == result.total == len(train_set.examples)
         assert result.per_class["color"] == (3, 3)
         assert result.per_class["animal"] == (3, 3)
+
+    def test_text_longer_than_a_chunk(self, toy_sets):
+        # 700 valid tokens exceed EVAL_ROWS, so that text is a chunk of its own
+        train_set, _ = toy_sets
+        long_set = make_dataset([*train_set.examples,
+                                 Example("animal", " ".join(["dog"] * 700))])
+        config = TrainConfig(dim=8, max_len=700, batch_size=2, epochs=1, seed=3)
+        assert 700 > labelmatch.trainer.EVAL_ROWS
+        model, history = train(config, long_set, long_set)
+        assert len(history.epochs) == 1
+        result = evaluate(model, long_set)
+        assert result.total == len(long_set.examples)
+        assert sum(g for g, _ in result.per_class.values()) == result.total
+
+    def test_atis_train_split_eval_memory(self, atis_train_path):
+        # traced peak of one pass: 1.3 MiB in 32-example chunks, 1.7 MiB in
+        # 512-row chunks, 3.1 MiB in 1,024-row chunks
+        train_set = load_dataset(atis_train_path)
+        model = build_model(TrainConfig(fusion_mode="dot"), train_set)
+        seqs, targets = labelmatch.trainer._tokenize_dataset(model, train_set)
+        tracemalloc.start()
+        try:
+            labelmatch.trainer.evaluate_seqs(model, seqs, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 class TestCheckpoint:
