@@ -8,7 +8,7 @@ from .corpus import (Dataset, DatasetStats, Example, TokenSeq, Vocabulary,
 from .encoder import EncoderParams, LabelSet, encode
 from .errors import (CheckpointError, DataError, LabelMatchError,
                      TrainingError, VerificationError)
-from .fusion import FusionHead, score_add, score_baseline, score_dot
+from .fusion import FusionHead, score_dot
 from .nncore import GradCheckReport, ParamTensor, cross_entropy, finite_diff_check, softmax
 from .trainer import (Model, TrainConfig, TrainHistory, adam_step, build_model,
                       evaluate, init_params, load_checkpoint, save_checkpoint, train)

@@ -26,62 +26,23 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .corpus import dataset_stats, load_dataset, load_verbalizer
 from .errors import DataError, LabelMatchError, VerificationError
 from .fusion import FUSION_MODES
 from .gradcheck import run_all
-from .trainer import (CLI_BATCH_SIZES, TrainConfig, evaluate, load_checkpoint, model_vocab,
+from .trainer import (TrainConfig, evaluate, load_checkpoint, model_vocab,
                       read_checkpoint_header, save_checkpoint, train)
 
+CLI_BATCH_SIZES = (32, 64)  # the trainer takes any batch size >= 1
 ABLATION_ROWS = (("No", "No", "none"), ("Yes", "Add", "add"), ("Yes", "Dot Product", "dot"))
 
 # One BLAS thread per ablation worker: the workers already fill the cores, and
 # BLAS threads inside each would oversubscribe them. One setting for every
 # worker also keeps results independent of --jobs (see README, Determinism).
 WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    label_embeddings: str
-    fusion_method: str
-    accuracies: tuple[float, ...]  # percentages, one per seed
-
-    @property
-    def mean(self) -> float:
-        return sum(self.accuracies) / len(self.accuracies)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    dataset: str
-    seeds: tuple[int, ...]
-    rows: tuple[AblationRow, ...]
-
-    def render_table(self) -> str:
-        lines = [f"{'Label Embeddings':<18}{'Fusion Method':<15}{self.dataset}"]
-        for row in self.rows:
-            lines.append(f"{row.label_embeddings:<18}{row.fusion_method:<15}{row.mean:.1f}")
-        lines.append("")
-        lines.append(f"seeds: {', '.join(str(s) for s in self.seeds)}")
-        for row in self.rows:
-            detail = "  ".join(f"seed {s}: {a:.1f}"
-                               for s, a in zip(self.seeds, row.accuracies))
-            lines.append(f"{row.fusion_method}: {detail}")
-        return "\n".join(lines)
-
-    def render_csv(self) -> str:
-        out = ["label_embeddings,fusion_method,dataset,seed,accuracy"]
-        for row in self.rows:
-            for seed, acc in zip(self.seeds, row.accuracies):
-                out.append(f"{row.label_embeddings},{row.fusion_method},"
-                           f"{self.dataset},{seed},{acc:.6f}")
-            out.append(f"{row.label_embeddings},{row.fusion_method},"
-                       f"{self.dataset},mean,{row.mean:.6f}")
-        return "\n".join(out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,10 +82,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _load_pair(args):
-    train_set = load_dataset(args.train, split="train")
-    test_set = load_dataset(args.test, split="test")
-    verbalizer = load_verbalizer(args.verbalizer) if args.verbalizer else None
+def _load_pair(train_path, test_path, verbalizer_path):
+    train_set = load_dataset(train_path, split="train")
+    test_set = load_dataset(test_path, split="test")
+    verbalizer = load_verbalizer(verbalizer_path) if verbalizer_path else None
     return train_set, test_set, verbalizer
 
 
@@ -169,7 +130,7 @@ def _check_writable(path) -> None:
 
 def cmd_train(args) -> int:
     started = time.time()
-    train_set, test_set, verbalizer = _load_pair(args)
+    train_set, test_set, verbalizer = _load_pair(args.train, args.test, args.verbalizer)
     config = _config_from_args(args)
     _check_writable(args.out)  # fail before training, not after it
 
@@ -246,10 +207,8 @@ def cmd_eval(args) -> int:
 
 
 def _ablation_worker(payload) -> tuple[str, int, float]:
-    config, train_path, test_path, verbalizer_path = payload
-    train_set = load_dataset(train_path, split="train")
-    test_set = load_dataset(test_path, split="test")
-    verbalizer = load_verbalizer(verbalizer_path) if verbalizer_path else None
+    config, *paths = payload
+    train_set, test_set, verbalizer = _load_pair(*paths)
     model, history = train(config, train_set, test_set, verbalizer)
     if history.epochs:
         return config.fusion_mode, config.seed, history.epochs[-1].test_acc
@@ -271,9 +230,9 @@ def _environment(overrides: dict[str, str]):
                 os.environ[name] = value
 
 
-def run_ablation(args) -> EvalReport:
-    """Train every fusion mode for every seed; deterministic per (mode, seed)."""
-    dataset_name = Path(args.train).name.split(".")[0]
+def run_ablation(args) -> dict[tuple[str, int], float]:
+    """Train every fusion mode for every seed; deterministic per (mode, seed).
+    Returns the test accuracy percentage of each (mode, seed)."""
     base = _config_from_args(args, fusion_mode="dot")
     jobs = [(replace(base, fusion_mode=mode, seed=seed), args.train, args.test, args.verbalizer)
             for _, _, mode in ABLATION_ROWS for seed in args.seeds]
@@ -285,19 +244,32 @@ def run_ablation(args) -> EvalReport:
         for mode, seed, acc in pool.map(_ablation_worker, jobs):
             results[(mode, seed)] = acc
             print(f"done fusion={mode} seed={seed} acc={acc:.1f}")
+    return results
 
-    rows = tuple(AblationRow(label_embeddings=emb, fusion_method=name,
-                             accuracies=tuple(results[(mode, s)] for s in args.seeds))
-                 for emb, name, mode in ABLATION_ROWS)
-    return EvalReport(dataset=dataset_name, seeds=tuple(args.seeds), rows=rows)
+
+def render_ablation(dataset: str, seeds, results) -> tuple[str, str]:
+    """The ablation table and its CSV twin from run_ablation's results; each
+    row's mean sums its accuracies in seed order."""
+    table = [f"{'Label Embeddings':<18}{'Fusion Method':<15}{dataset}"]
+    details = ["", f"seeds: {', '.join(str(s) for s in seeds)}"]
+    csv = ["label_embeddings,fusion_method,dataset,seed,accuracy"]
+    for emb, name, mode in ABLATION_ROWS:
+        accs = [results[(mode, s)] for s in seeds]
+        mean = sum(accs) / len(accs)
+        table.append(f"{emb:<18}{name:<15}{mean:.1f}")
+        details.append(f"{name}: " + "  ".join(f"seed {s}: {a:.1f}" for s, a in zip(seeds, accs)))
+        csv += [f"{emb},{name},{dataset},{s},{a:.6f}" for s, a in zip(seeds, accs)]
+        csv.append(f"{emb},{name},{dataset},mean,{mean:.6f}")
+    return "\n".join(table + details), "\n".join(csv)
 
 
 def cmd_ablation(args) -> int:
-    report = run_ablation(args)
-    print(report.render_table())
+    dataset = Path(args.train).name.split(".")[0]
+    table, csv = render_ablation(dataset, args.seeds, run_ablation(args))
+    print(table)
     if args.out:
-        Path(f"{args.out}.txt").write_text(report.render_table() + "\n", encoding="utf-8")
-        Path(f"{args.out}.csv").write_text(report.render_csv() + "\n", encoding="utf-8")
+        Path(f"{args.out}.txt").write_text(table + "\n", encoding="utf-8")
+        Path(f"{args.out}.csv").write_text(csv + "\n", encoding="utf-8")
         print(f"report written to {args.out}.txt / {args.out}.csv")
     return 0
 

@@ -1,9 +1,7 @@
 """Dataset ingestion, vocabulary construction, and tokenization.
 
 The on-disk format is UTF-8 TSV with LF line endings, one `label<TAB>text`
-example per line. The space-separated `LABEL text...` layout used by some
-question-classification distributions is also accepted; the format is
-detected from the first line unless forced.
+example per line.
 
 Tokenization is lowercased splitting on Unicode whitespace. Vocabulary ids
 are contiguous, with id 0 reserved for padding and id 1 for unknown tokens,
@@ -81,39 +79,24 @@ def make_dataset(examples: Iterable[Example], split: str = "train") -> Dataset:
     return Dataset(examples=examples, label_names=label_names, split=split)
 
 
-def load_dataset(path, format: str = "auto", split: str = "train") -> Dataset:
-    """Read one example per line from `path`.
-
-    format: "tsv" for `label<TAB>text`, "space" for `LABEL text...`,
-    "auto" to pick based on whether the first line contains a tab.
-    """
-    if format not in ("auto", "tsv", "space"):
-        raise DataError(f"unknown format {format!r}")
+def load_dataset(path, split: str = "train") -> Dataset:
+    """Read one `label<TAB>text` example per line from `path`."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             raw = f.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8: {exc}") from None
     lines = raw.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines:
         raise DataError(f"{path}: empty dataset")
-    if format == "auto":
-        format = "tsv" if "\t" in lines[0] else "space"
 
     examples = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\r")
-        if format == "tsv":
-            label, sep, text = line.partition("\t")
-            if not sep:
-                raise DataError(f"{path}:{lineno}: malformed line (no tab)")
-        else:
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: malformed line (no label/text pair)")
-            label, text = parts
+        label, sep, text = line.rstrip("\r").partition("\t")
+        if not sep:
+            raise DataError(f"{path}:{lineno}: malformed line (no tab)")
         label = label.strip()
         text = text.strip()
         if not label:

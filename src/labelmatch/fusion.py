@@ -76,23 +76,10 @@ def _require_labels(head: FusionHead, t: np.ndarray, labels: np.ndarray) -> None
                          f"{head.b_out.value.shape[0]}")
 
 
-def _score_as(mode: str, t: np.ndarray, labels: np.ndarray | None,
-              head: FusionHead) -> np.ndarray:
-    if head.mode != mode:
-        raise ValueError(f"head is {head.mode!r}, not {mode!r}")
-    return score_forward(t, labels, head)[0]
-
-
-def score_baseline(t: np.ndarray, head: FusionHead) -> np.ndarray:
-    return _score_as("none", t, None, head)
-
-
-def score_add(t: np.ndarray, labels: np.ndarray, head: FusionHead) -> np.ndarray:
-    return _score_as("add", t, labels, head)
-
-
 def score_dot(t: np.ndarray, labels: np.ndarray, head: FusionHead) -> np.ndarray:
-    return _score_as("dot", t, labels, head)
+    if head.mode != "dot":
+        raise ValueError(f"head is {head.mode!r}, not 'dot'")
+    return score_forward(t, labels, head)[0]
 
 
 def score_forward(t: np.ndarray, labels: np.ndarray | None, head: FusionHead):

@@ -146,9 +146,6 @@ def epoch_shuffle_seed(seed: int, epoch: int) -> int:
 
 # --- configuration ----------------------------------------------------------------
 
-CLI_BATCH_SIZES = (32, 64)  # the CLI restricts batch size to these two
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Checked on construction: an invalid config raises DataError."""
@@ -167,6 +164,8 @@ class TrainConfig:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise DataError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 <= self.seed <= MASK64:  # the checkpoint stores 64 unsigned bits
+            raise DataError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.learning_rate > 0:
             raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.fusion_mode not in FUSION_MODES:

@@ -1,13 +1,15 @@
 import json
 import re
+import shlex
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import labelmatch.nncore
-from labelmatch.cli import main
+from labelmatch.cli import build_parser, main, render_ablation
 from labelmatch.corpus import load_dataset
 from labelmatch.trainer import TrainConfig, build_model, load_checkpoint, save_checkpoint
 
@@ -70,6 +72,13 @@ class TestStats:
     def test_atis_train(self, atis_train_path, capsys):
         assert run_cli("stats", "--data", atis_train_path) == 0
         assert "4978 examples" in capsys.readouterr().out
+
+    def test_first_line_without_tab_is_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_text("what is the capital of france ?\nLOC\twhere is paris ?\n",
+                        encoding="utf-8")
+        assert_clean_exit_two(capsys, "stats", "--data", path,
+                              message=":1: malformed line (no tab)")
 
 
 class TestTrainCommand:
@@ -254,6 +263,17 @@ class TestUnreadableInput:
         assert "Traceback" not in captured.err
         assert "epoch=" not in captured.out
 
+    def test_train_refuses_seed_outside_64_bits(self, toy_files, tmp_path, capsys):
+        # the checkpoint stores the seed in 64 unsigned bits; -1 would load as 2**64 - 1
+        train, test = toy_files
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli("train", "--train", train, "--test", test, "--dim", "8",
+                       "--seed", "-1", "--out", ckpt) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed must be in [0, 2**64)")
+        assert "epoch=" not in captured.out
+        assert not ckpt.exists()
+
     def test_dataset_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.tsv"
         path.write_bytes("X\tcaf\xe9 au lait\n".encode("latin-1"))
@@ -287,6 +307,44 @@ class TestAblationCommand:
         assert len(per_seed) == 3 and len(means) == 3
         for seed_line, mean_line in zip(per_seed, means):
             assert seed_line.rsplit(",", 1)[1] == mean_line.rsplit(",", 1)[1]
+
+
+    def test_report_bytes(self):
+        # captured from the report classes this function replaced; 85.25 and
+        # 0.05 are not exact in binary, so they also pin the rounding
+        results = {("none", 0): 85.25, ("none", 1): 86.35, ("add", 0): 100 / 3,
+                   ("add", 1): 200 / 3, ("dot", 0): 0.05, ("dot", 1): 99.95}
+        table, csv = render_ablation("trec6", [0, 1], results)
+        assert table == ("Label Embeddings  Fusion Method  trec6\n"
+                         "No                No             85.8\n"
+                         "Yes               Add            50.0\n"
+                         "Yes               Dot Product    50.0\n"
+                         "\n"
+                         "seeds: 0, 1\n"
+                         "No: seed 0: 85.2  seed 1: 86.3\n"
+                         "Add: seed 0: 33.3  seed 1: 66.7\n"
+                         "Dot Product: seed 0: 0.1  seed 1: 100.0")
+        assert csv == ("label_embeddings,fusion_method,dataset,seed,accuracy\n"
+                       "No,No,trec6,0,85.250000\n"
+                       "No,No,trec6,1,86.350000\n"
+                       "No,No,trec6,mean,85.800000\n"
+                       "Yes,Add,trec6,0,33.333333\n"
+                       "Yes,Add,trec6,1,66.666667\n"
+                       "Yes,Add,trec6,mean,50.000000\n"
+                       "Yes,Dot Product,trec6,0,0.050000\n"
+                       "Yes,Dot Product,trec6,1,99.950000\n"
+                       "Yes,Dot Product,trec6,mean,50.000000")
+
+
+def test_readme_commands_parse():
+    # every command in README's CLI block, continuations joined, is accepted as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("labelmatch ")]
+    assert [argv[1] for argv in commands] == ["stats", "train", "eval", "ablation", "gradcheck"]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 class TestGradcheckCommand:

@@ -34,18 +34,19 @@ class TestLoadDataset:
         path = tmp_path / "bad.tsv"
         path.write_text("A\tok here\nno tab on this line\n", encoding="utf-8")
         with pytest.raises(DataError, match=r":2:"):
-            load_dataset(path, format="tsv")
+            load_dataset(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.tsv")
 
-    def test_space_format_autodetected(self, tmp_path):
-        path = tmp_path / "space.txt"
-        path.write_text("NUM When did it happen ?\nLOC Where is it ?\n", encoding="utf-8")
-        ds = load_dataset(path)
-        assert ds.examples[0] == Example("NUM", "When did it happen ?")
-        assert ds.label_names == ("LOC", "NUM")
+    def test_first_line_without_tab_names_line(self, tmp_path):
+        # no other layout is guessed from the first line: it is malformed too
+        path = tmp_path / "bad.tsv"
+        path.write_text("what is the capital of france ?\nLOC\twhere is paris ?\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r":1: malformed line \(no tab\)"):
+            load_dataset(path)
 
     def test_file_order_preserved(self, tiny_tsv):
         path = tiny_tsv([("B", "second label first"), ("A", "first label second")])

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from labelmatch.fusion import (FusionHead, score_add, score_backward,
-                               score_baseline, score_dot, score_forward)
+from labelmatch.fusion import FusionHead, score_backward, score_dot, score_forward
 from labelmatch.nncore import ParamTensor, softmax
 
 
@@ -23,22 +22,22 @@ def head_dot(scale=10.0):
 class TestBaseline:
     def test_zero_weights_give_bias(self):
         head = head_none(np.zeros((3, 4)), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(score_baseline(np.ones(4), head), [1, 2, 3])
+        np.testing.assert_array_equal(score_forward(np.ones(4), None, head)[0], [1, 2, 3])
 
     def test_zero_input_gives_bias(self):
         rng = np.random.default_rng(0)
         head = head_none(rng.normal(size=(3, 4)), [0.5, -0.5, 0.0])
-        np.testing.assert_array_equal(score_baseline(np.zeros(4), head), [0.5, -0.5, 0.0])
+        np.testing.assert_array_equal(score_forward(np.zeros(4), None, head)[0], [0.5, -0.5, 0.0])
 
     def test_identity_rows_select_coordinate(self):
         head = head_none(np.eye(4), np.zeros(4))
         e2 = np.zeros(4)
         e2[2] = 1.0
-        np.testing.assert_array_equal(score_baseline(e2, head), e2)
+        np.testing.assert_array_equal(score_forward(e2, None, head)[0], e2)
 
     def test_mode_mismatch(self):
         with pytest.raises(ValueError):
-            score_baseline(np.zeros(2), head_dot())
+            score_dot(np.zeros(2), np.eye(2), head_none(np.zeros((3, 2)), np.zeros(3)))
 
 
 class TestAdd:
@@ -48,17 +47,17 @@ class TestAdd:
         labels = np.tile(row, (3, 1))
         t = rng.normal(size=4)
         head = head_add(rng.normal(size=4), np.zeros(3))
-        logits = score_add(t, labels, head)
+        logits = score_forward(t, labels, head)[0]
         np.testing.assert_allclose(softmax(logits), np.full(3, 1 / 3), atol=1e-12)
         head_b = head_add(head.w_mix.value, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(score_add(t, labels, head_b) - logits, [1, 2, 3],
+        np.testing.assert_allclose(score_forward(t, labels, head_b)[0] - logits, [1, 2, 3],
                                    atol=1e-12)
 
     def test_zero_mix_gives_bias(self):
         head = head_add(np.zeros(4), [7.0, 8.0])
         rng = np.random.default_rng(2)
         np.testing.assert_array_equal(
-            score_add(rng.normal(size=4), rng.normal(size=(2, 4)), head), [7.0, 8.0])
+            score_forward(rng.normal(size=4), rng.normal(size=(2, 4)), head)[0], [7.0, 8.0])
 
     def test_hand_computed_example(self):
         # independent dot-product oracle over the fused vectors
@@ -69,12 +68,12 @@ class TestAdd:
                     for row in labels]
         assert expected == [1.0, 3.0]
         head = head_add(w, np.zeros(2))
-        np.testing.assert_array_equal(score_add(t, labels, head), [1.0, 3.0])
+        np.testing.assert_array_equal(score_forward(t, labels, head)[0], [1.0, 3.0])
 
     def test_k_mismatch(self):
         head = head_add(np.zeros(4), np.zeros(3))
         with pytest.raises(ValueError):
-            score_add(np.zeros(4), np.zeros((2, 4)), head)
+            score_forward(np.zeros(4), np.zeros((2, 4)), head)[0]
 
     def test_text_changes_move_class_differences(self):
         # the relu makes logit gaps text-dependent, so the head can discriminate
@@ -82,8 +81,8 @@ class TestAdd:
         labels = rng.normal(size=(3, 6))
         head = head_add(rng.normal(size=6), np.zeros(3))
         t1, t2 = rng.normal(size=6), rng.normal(size=6)
-        gaps1 = np.diff(score_add(t1, labels, head))
-        gaps2 = np.diff(score_add(t2, labels, head))
+        gaps1 = np.diff(score_forward(t1, labels, head)[0])
+        gaps2 = np.diff(score_forward(t2, labels, head)[0])
         assert not np.allclose(gaps1, gaps2)
 
 
@@ -136,8 +135,8 @@ class TestModeIsolation:
         rng = np.random.default_rng(6)
         head = head_none(rng.normal(size=(3, 4)), rng.normal(size=3))
         t = rng.normal(size=4)
-        with_labels, _ = score_forward(t, None, head)
-        np.testing.assert_array_equal(score_baseline(t, head), with_labels)
+        with_labels = score_forward(t, rng.normal(size=(3, 4)), head)[0]
+        np.testing.assert_array_equal(score_forward(t, None, head)[0], with_labels)
 
     @pytest.mark.parametrize("mode", ["add", "dot"])
     def test_label_rows_influence_scores(self, mode):
@@ -146,11 +145,10 @@ class TestModeIsolation:
         labels = rng.normal(size=(3, 4))
         head = head_add(rng.normal(size=4), rng.normal(size=3)) if mode == "add" \
             else head_dot()
-        score = score_add if mode == "add" else score_dot
-        base = score(t, labels, head)
+        base = score_forward(t, labels, head)[0]
         bumped = labels.copy()
         bumped[1] += 1.0
-        assert not np.array_equal(score(t, bumped, head), base)
+        assert not np.array_equal(score_forward(t, bumped, head)[0], base)
 
     @pytest.mark.parametrize("mode", ["add", "dot"])
     def test_labels_required(self, mode):

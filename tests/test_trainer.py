@@ -266,6 +266,9 @@ class TestTrain:
             TrainConfig(batch_size=0)
         with pytest.raises(DataError, match="dim"):
             dataclasses.replace(TrainConfig(), dim=0)
+        for seed in (-1, 2**64):  # the checkpoint keeps 64 unsigned bits of the seed
+            with pytest.raises(DataError, match="seed"):
+                TrainConfig(seed=seed)
 
 
 class TestPredictLogits:
