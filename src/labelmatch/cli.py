@@ -26,7 +26,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .corpus import dataset_stats, load_dataset, load_verbalizer
@@ -89,9 +89,9 @@ def _load_pair(train_path, test_path, verbalizer_path):
     return train_set, test_set, verbalizer
 
 
-def _config_from_args(args, fusion_mode: str | None = None) -> TrainConfig:
-    return TrainConfig(batch_size=args.batch, epochs=args.epochs, seed=args.seed,
-                       fusion_mode=fusion_mode or args.fusion, dim=args.dim)
+def _config_from_args(args, **fields) -> TrainConfig:
+    """TrainConfig from the flags add_train_flags declares, plus `fields`."""
+    return TrainConfig(batch_size=args.batch, epochs=args.epochs, dim=args.dim, **fields)
 
 
 def _write_history(path, history) -> None:
@@ -131,7 +131,7 @@ def _check_writable(path) -> None:
 def cmd_train(args) -> int:
     started = time.time()
     train_set, test_set, verbalizer = _load_pair(args.train, args.test, args.verbalizer)
-    config = _config_from_args(args)
+    config = _config_from_args(args, fusion_mode=args.fusion, seed=args.seed)
     _check_writable(args.out)  # fail before training, not after it
 
     def progress(stats):
@@ -233,8 +233,11 @@ def _environment(overrides: dict[str, str]):
 def run_ablation(args) -> dict[tuple[str, int], float]:
     """Train every fusion mode for every seed; deterministic per (mode, seed).
     Returns the test accuracy percentage of each (mode, seed)."""
-    base = _config_from_args(args, fusion_mode="dot")
-    jobs = [(replace(base, fusion_mode=mode, seed=seed), args.train, args.test, args.verbalizer)
+    repeated = sorted({s for s in args.seeds if args.seeds.count(s) > 1})
+    if repeated:
+        raise DataError(f"--seeds repeats {', '.join(map(str, repeated))}; give each seed once")
+    jobs = [(_config_from_args(args, fusion_mode=mode, seed=seed),
+             args.train, args.test, args.verbalizer)
             for _, _, mode in ABLATION_ROWS for seed in args.seeds]
 
     results: dict[tuple[str, int], float] = {}
@@ -303,21 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Train and evaluate label-matching intent classifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_train_flags(p, with_fusion: bool):
+    def add_train_flags(p):
         p.add_argument("--train", required=True, help="train TSV (label<TAB>text)")
         p.add_argument("--test", required=True, help="test TSV")
-        if with_fusion:
-            p.add_argument("--fusion", choices=FUSION_MODES, default="dot")
-        p.add_argument("--dim", type=_bounded_int("dim", 1, 4096), default=64)
-        p.add_argument("--batch", type=_batch_size, default=32,
+        p.add_argument("--dim", type=_bounded_int("dim", 1, 4096), default=TrainConfig.dim)
+        p.add_argument("--batch", type=_batch_size, default=TrainConfig.batch_size,
                        metavar="{32,64}")
-        p.add_argument("--epochs", type=_bounded_int("epochs", 0, 100000), default=10)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--epochs", type=_bounded_int("epochs", 0, 100000),
+                       default=TrainConfig.epochs)
         p.add_argument("--verbalizer", default=None,
                        help="JSON file mapping label -> phrase")
 
-    p = sub.add_parser("train", parents=[], help="train one model")
-    add_train_flags(p, with_fusion=True)
+    p = sub.add_parser("train", help="train one model")
+    add_train_flags(p)
+    p.add_argument("--fusion", choices=FUSION_MODES, default=TrainConfig.fusion_mode)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
@@ -330,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablation", help="train all three fusion modes over several seeds")
-    add_train_flags(p, with_fusion=False)
-    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
+    add_train_flags(p)
+    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4], help="distinct seeds")
     p.add_argument("--jobs", type=_bounded_int("jobs", 1, 64), default=1,
                    help="run configurations concurrently")
     p.add_argument("--out", default=None, help="basename for the .txt/.csv report")

@@ -4,9 +4,10 @@ Per-layer checks isolate one primitive with a fixed random projection to a
 scalar, and build each head from fusion.head_template as the model does;
 full-model checks run the complete text+label pipeline for each
 fusion mode on a synthetic corpus. Central differences are meaningless at a
-relu kink, so full-model instances get their biases nudged until every
-preactivation (FFN hidden units, and the fused vectors of the additive head)
-clears a safety margin.
+relu kink, so every check with a relu shifts a bias (or, for the additive
+head's layer check, a label column) by `_min_shift` until every preactivation
+(FFN hidden units, and the fused vectors of the additive head) clears a
+safety margin.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class CheckOutcome:
         return self.report.max_rel_err < self.threshold
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _param(rng: np.random.Generator, name: str, shape) -> ParamTensor:
     return ParamTensor(name, rng.uniform(-0.5, 0.5, size=shape))
 
@@ -63,20 +60,19 @@ def _projected(op_name: str, rng: np.random.Generator, params: list[ParamTensor]
     return finite_diff_check(op_name, lambda: float((proj * run()[0]).sum()), params)
 
 
-def _relu_safe(seed: int, build, pre):
-    """(rng, instance) for the first of 50 seeds from `seed` whose instance =
-    build(rng) keeps every relu input pre(instance) off its kink; pre=None
-    accepts the first instance."""
-    for s in range(seed, seed + 50):
-        rng = _rng(s)
-        instance = build(rng)
-        if pre is None or np.abs(pre(instance)).min() > RELU_MARGIN:
-            return rng, instance
-    raise VerificationError("no relu-safe instance found")
+def _min_shift(values: np.ndarray, margin: float) -> float:
+    """Smallest upward shift putting every value outside [-margin, margin]."""
+    delta = 0.0
+    while True:
+        shifted = values + delta
+        offending = values[(shifted >= -margin) & (shifted <= margin)]
+        if offending.size == 0:
+            return delta
+        delta = 2 * margin - float(offending.min())
 
 
 def check_embedding() -> GradCheckReport:
-    rng = _rng(11)
+    rng = np.random.default_rng(11)
     v, d = 7, 5
     emb = _param(rng, "emb", (v, d))
     pos = _param(rng, "pos", (4, d))
@@ -88,7 +84,7 @@ def check_embedding() -> GradCheckReport:
 
 
 def check_attention() -> GradCheckReport:
-    rng = _rng(12)
+    rng = np.random.default_rng(12)
     d = 5
     segs = nncore.segments([2, 2, 3, 1])  # a two-segment run, then two single ones
     x = _param(rng, "x", (8, d))
@@ -101,18 +97,18 @@ def check_attention() -> GradCheckReport:
 
 
 def check_ffn() -> GradCheckReport:
+    rng = np.random.default_rng(13)
     m, d, h = 4, 5, 8
     shapes = (("x", (m, d)), ("w1", (d, h)), ("b1", (h,)), ("w2", (h, d)), ("b2", (d,)))
-    rng, params = _relu_safe(13, lambda rng: [_param(rng, *entry) for entry in shapes],
-                             lambda ps: ps[0].value @ ps[1].value + ps[2].value)
-    x, w1, b1, w2, b2 = params
+    x, w1, b1, w2, b2 = params = [_param(rng, *entry) for entry in shapes]
+    b1.value += [_min_shift(col, RELU_MARGIN) for col in (x.value @ w1.value + b1.value).T]
     return _projected("ffn", rng, params,
                       lambda: nncore.ffn_forward(x.value, w1, b1, w2, b2),
                       lambda proj, cache: [(x, nncore.ffn_backward(proj, cache))])
 
 
 def check_mean_pool() -> GradCheckReport:
-    rng = _rng(14)
+    rng = np.random.default_rng(14)
     d = 5
     segs = nncore.segments([3, 1, 2])
     x = _param(rng, "x", (6, d))
@@ -122,7 +118,7 @@ def check_mean_pool() -> GradCheckReport:
 
 
 def check_cross_entropy() -> GradCheckReport:
-    rng = _rng(15)
+    rng = np.random.default_rng(15)
     logits = _param(rng, "logits", (3, 6))
     targets = np.array([2, 0, 5])
 
@@ -136,18 +132,16 @@ def check_cross_entropy() -> GradCheckReport:
 
 def check_head(mode: str) -> GradCheckReport:
     """The `mode` head over parameters drawn in fusion.head_template order:
-    uniform draws, log 10 for the log10 rule."""
+    uniform draws, log 10 for the log10 rule. For the additive head, label
+    column j is shifted so every relu input t[b, j] + L[k, j] clears the margin."""
+    rng = np.random.default_rng(16)
     b, k, d = 3, 4, 5
-
-    def build(rng):
-        return [_param(rng, "t", (b, d)), _param(rng, "labels", (k, d))] + [
-            ParamTensor(name, np.full(shape, np.log(10.0))) if rule == "log10"
-            else _param(rng, name, shape) for name, shape, rule in head_template(mode, k, d)]
-
-    def fused(ps):  # the additive head's relu inputs
-        return ps[0].value[:, None, :] + ps[1].value[None, :, :]
-
-    rng, (t, labels, *head_params) = _relu_safe(16, build, fused if mode == "add" else None)
+    t, labels = _param(rng, "t", (b, d)), _param(rng, "labels", (k, d))
+    head_params = [ParamTensor(name, np.full(shape, np.log(10.0))) if rule == "log10"
+                   else _param(rng, name, shape) for name, shape, rule in head_template(mode, k, d)]
+    if mode == "add":
+        fused = (t.value[:, None, :] + labels.value[None, :, :]).reshape(-1, d)
+        labels.value += [_min_shift(col, RELU_MARGIN) for col in fused.T]
     head = FusionHead(mode=mode, **{p.name: p for p in head_params})
     reads = uses_labels(mode)
     return _projected(f"head_{mode}", rng, [t, *head_params] + ([labels] if reads else []),
@@ -156,17 +150,6 @@ def check_head(mode: str) -> GradCheckReport:
 
 
 # --- full model -------------------------------------------------------------------
-
-def _min_shift(values: np.ndarray, margin: float) -> float:
-    """Smallest upward shift putting every value outside [-margin, margin]."""
-    delta = 0.0
-    while True:
-        shifted = values + delta
-        offending = values[(shifted >= -margin) & (shifted <= margin)]
-        if offending.size == 0:
-            return delta
-        delta = 2 * margin - float(offending.min())
-
 
 def _relu_inputs(model: Model, seqs) -> tuple[np.ndarray, np.ndarray | None]:
     """From the model's forward pass: the FFN preactivations of every row it
@@ -189,15 +172,12 @@ def _nudge_relu_safe(model: Model, seqs, margin: float) -> None:
     """
     for _ in range(10):
         pre, _ = _relu_inputs(model, seqs)
-        for j in range(pre.shape[1]):
-            model.enc.b1.value[j] += _min_shift(pre[:, j], margin)
-
+        model.enc.b1.value += [_min_shift(col, margin) for col in pre.T]
         if model.head.mode == "add":
             _, fused = _relu_inputs(model, seqs)
-            for j in range(fused.shape[1]):
-                model.enc.b2.value[j] += _min_shift(fused[:, j], margin) / 2.0
-
-        if _min_relu_margin(model, seqs) > 0.9 * margin:
+            model.enc.b2.value += [_min_shift(col, margin) / 2.0 for col in fused.T]
+        if min(float(np.abs(a).min()) for a in _relu_inputs(model, seqs)
+               if a is not None) > 0.9 * margin:
             return
     raise VerificationError("could not move relu preactivations away from their kinks")
 
@@ -229,10 +209,6 @@ def _synthetic_instance(mode: str, dim: int, max_len: int, vocab_size: int):
     seqs, targets = [seqs[i] for i in (0, -2, -1)], [targets[i] for i in (0, -2, -1)]
     _nudge_relu_safe(model, seqs, RELU_MARGIN)
     return model, seqs, targets
-
-
-def _min_relu_margin(model: Model, seqs) -> float:
-    return min(float(np.abs(a).min()) for a in _relu_inputs(model, seqs) if a is not None)
 
 
 def batch_loss(model: Model, seqs, targets) -> float:

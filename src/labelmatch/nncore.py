@@ -88,7 +88,6 @@ class ParamTensor:
 class GradCheckReport:
     op_name: str
     max_rel_err: float
-    worst_index: int  # flat index into the concatenated parameter vector
 
 
 # --- packed layout ---------------------------------------------------------------
@@ -318,16 +317,17 @@ def finite_diff_check(op_name: str, f, params: list[ParamTensor],
     parameter values; the analytic gradient must already sit in each
     param.grad. Every coordinate is perturbed by +-eps in place and
     restored. Relative error per coordinate uses the denominator
-    max(|analytic|, |numeric|, 1e-8).
+    max(|analytic|, |numeric|, 1e-8); a non-finite analytic gradient
+    reports max_rel_err = inf without perturbing anything.
     """
     if not 1e-6 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-6, 1e-3]")
     base = float(f())
     if not math.isfinite(base):
         raise ValueError(f"{op_name}: non-finite objective")
+    if not all(np.isfinite(p.grad).all() for p in params):
+        return GradCheckReport(op_name=op_name, max_rel_err=math.inf)
     max_rel = 0.0
-    worst = -1
-    offset = 0
     for p in params:
         flat = p.value.reshape(-1)
         grad = p.grad.reshape(-1)
@@ -342,8 +342,5 @@ def finite_diff_check(op_name: str, f, params: list[ParamTensor],
                 raise ValueError(f"{op_name}: non-finite objective under perturbation")
             numeric = (f_plus - f_minus) / (2 * eps)
             rel = abs(float(grad[i]) - numeric) / max(abs(float(grad[i])), abs(numeric), 1e-8)
-            if rel > max_rel:
-                max_rel = rel
-                worst = offset + i
-        offset += flat.size
-    return GradCheckReport(op_name=op_name, max_rel_err=max_rel, worst_index=worst)
+            max_rel = max(max_rel, rel)
+    return GradCheckReport(op_name=op_name, max_rel_err=max_rel)

@@ -289,44 +289,41 @@ def build_model(config: TrainConfig, train_set: Dataset,
 def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
     """Bias-corrected Adam update of every parameter; zeroes grads after.
 
-    `params` must cover whole stores. All-or-nothing: every gradient is
-    checked before anything changes. Each store is then updated in one
-    pass of ADAM_BLOCK-element blocks with the elementwise arithmetic of a
-    per-tensor update, so the result is bit-identical to one.
+    `params` must be one store's parameters, in order. All-or-nothing: every
+    gradient is checked before anything changes. The store is then updated
+    in one pass of ADAM_BLOCK-element blocks with the elementwise arithmetic
+    of a per-tensor update, so the result is bit-identical to one.
     """
     if t < 1:
         raise TrainingError(f"step counter must be >= 1, got {t}")
-    stores = list({id(p.store): p.store for p in params}.values())
-    if len({id(p) for p in params}) != len(params) or \
-            len(params) != sum(len(s.params) for s in stores):
-        raise ValueError("adam_step needs every parameter of each store it updates, once")
-    for store in stores:
-        if not np.isfinite(store.grad).all():
-            bad = next(p for p in store.params if not np.isfinite(p.grad).all())
-            raise TrainingError(f"non-finite gradient in parameter {bad.name!r}")
+    store = params[0].store
+    if list(params) != store.params:
+        raise ValueError("adam_step needs every parameter of one store, once, in order")
+    if not np.isfinite(store.grad).all():
+        bad = next(p for p in params if not np.isfinite(p.grad).all())
+        raise TrainingError(f"non-finite gradient in parameter {bad.name!r}")
     c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
-    for store in stores:
-        size = store.value.size
-        scratch_a = np.empty(min(size, ADAM_BLOCK), dtype=store.value.dtype)
-        scratch_b = np.empty_like(scratch_a)
-        for lo in range(0, size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, size)
-            g, m, v = store.grad[lo:hi], store.adam_m[lo:hi], store.adam_v[lo:hi]
-            a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1 - ADAM_BETA1, out=a)
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=a)
-            a *= 1 - ADAM_BETA2
-            v += a
-            np.divide(m, c1, out=a)       # m_hat
-            a *= lr
-            np.divide(v, c2, out=b)       # v_hat
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
-            a /= b
-            store.value[lo:hi] -= a
-            g[...] = 0
+    size = store.value.size
+    scratch_a = np.empty(min(size, ADAM_BLOCK), dtype=store.value.dtype)
+    scratch_b = np.empty_like(scratch_a)
+    for lo in range(0, size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, size)
+        g, m, v = store.grad[lo:hi], store.adam_m[lo:hi], store.adam_v[lo:hi]
+        a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=a)
+        a *= 1 - ADAM_BETA2
+        v += a
+        np.divide(m, c1, out=a)       # m_hat
+        a *= lr
+        np.divide(v, c2, out=b)       # v_hat
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        store.value[lo:hi] -= a
+        g[...] = 0
 
 
 # --- training --------------------------------------------------------------------

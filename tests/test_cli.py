@@ -308,6 +308,24 @@ class TestAblationCommand:
         for seed_line, mean_line in zip(per_seed, means):
             assert seed_line.rsplit(",", 1)[1] == mean_line.rsplit(",", 1)[1]
 
+    def test_repeated_seed_refused_before_training(self, toy_files, tmp_path, capsys):
+        # a repeated seed would train twice and count twice in the mean
+        train, test = toy_files
+        report = tmp_path / "report"
+        assert run_cli("ablation", "--train", train, "--test", test, "--dim", "8",
+                       "--epochs", "1", "--seeds", "0", "1", "0", "--out", report) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --seeds repeats 0")
+        assert "done fusion=" not in captured.out
+        assert list(tmp_path.glob("report*")) == []
+
+    def test_seed_prefix_selects_the_seeds_to_train(self):
+        # ablation has no --seed of its own; argparse resolves the prefix to --seeds
+        args = build_parser().parse_args(["ablation", "--train", "a", "--test", "b",
+                                          "--seed", "3"])
+        assert args.seeds == [3]
+        assert not hasattr(args, "seed")
+
 
     def test_report_bytes(self):
         # captured from the report classes this function replaced; 85.25 and
@@ -336,6 +354,13 @@ class TestAblationCommand:
                        "Yes,Dot Product,trec6,mean,50.000000")
 
 
+def test_train_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["train", "--train", "a", "--test", "b", "--out", "c"])
+    config = TrainConfig()
+    assert (args.dim, args.batch, args.epochs, args.fusion, args.seed) == (
+        config.dim, config.batch_size, config.epochs, config.fusion_mode, config.seed)
+
+
 def test_readme_commands_parse():
     # every command in README's CLI block, continuations joined, is accepted as written
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -355,13 +380,14 @@ class TestGradcheckCommand:
         assert "FAIL" not in out
 
     def test_corrupted_backward_fails_with_exit_three(self, monkeypatch, capsys):
+        # an offset gradient, and a NaN one (whose relative error compares false)
         real = labelmatch.nncore.ffn_backward
+        for corrupt in (lambda g: np.add(g, 1e-2, out=g), lambda g: g.fill(np.nan)):
+            def corrupted(d_out, cache):
+                d_x = real(d_out, cache)
+                corrupt(cache.w1.grad)
+                return d_x
 
-        def corrupted(d_out, cache):
-            d_x = real(d_out, cache)
-            cache.w1.grad += 1e-2
-            return d_x
-
-        monkeypatch.setattr(labelmatch.nncore, "ffn_backward", corrupted)
-        assert run_cli("gradcheck") == 3
-        assert "FAIL" in capsys.readouterr().out
+            monkeypatch.setattr(labelmatch.nncore, "ffn_backward", corrupted)
+            assert run_cli("gradcheck") == 3
+            assert "FAIL" in capsys.readouterr().out

