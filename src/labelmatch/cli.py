@@ -40,8 +40,7 @@ CLI_BATCH_SIZES = (32, 64)  # the trainer takes any batch size >= 1
 ABLATION_ROWS = (("No", "No", "none"), ("Yes", "Add", "add"), ("Yes", "Dot Product", "dot"))
 
 # One BLAS thread per ablation worker: the workers already fill the cores, and
-# BLAS threads inside each would oversubscribe them. One setting for every
-# worker also keeps results independent of --jobs (see README, Determinism).
+# BLAS threads inside each would oversubscribe them. Results do not depend on it.
 WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -94,10 +93,14 @@ def _config_from_args(args, **fields) -> TrainConfig:
     return TrainConfig(batch_size=args.batch, epochs=args.epochs, dim=args.dim, **fields)
 
 
+def _epoch_line(row) -> str:
+    return f"{row.epoch},{row.train_loss:.6f},{row.train_acc:.6f},{row.test_acc:.6f}"
+
+
 def _write_history(path, history) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for row in history.epochs:
-            f.write(f"{row.epoch},{row.train_loss:.6f},{row.train_acc:.6f},{row.test_acc:.6f}\n")
+            f.write(_epoch_line(row) + "\n")
 
 
 def _write_manifest(path, args, config: TrainConfig, started: float) -> None:
@@ -206,13 +209,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _ablation_worker(payload) -> tuple[str, int, float]:
+def _ablation_worker(payload):
     config, *paths = payload
     train_set, test_set, verbalizer = _load_pair(*paths)
     model, history = train(config, train_set, test_set, verbalizer)
     if history.epochs:
-        return config.fusion_mode, config.seed, history.epochs[-1].test_acc
-    return config.fusion_mode, config.seed, evaluate(model, test_set).accuracy_pct
+        return config.fusion_mode, config.seed, history.epochs[-1].test_acc, history.epochs
+    return config.fusion_mode, config.seed, evaluate(model, test_set).accuracy_pct, []
 
 
 @contextmanager
@@ -230,9 +233,9 @@ def _environment(overrides: dict[str, str]):
                 os.environ[name] = value
 
 
-def run_ablation(args) -> dict[tuple[str, int], float]:
+def run_ablation(args):
     """Train every fusion mode for every seed; deterministic per (mode, seed).
-    Returns the test accuracy percentage of each (mode, seed)."""
+    Returns the test accuracy percentage and the EpochStats list of each."""
     repeated = sorted({s for s in args.seeds if args.seeds.count(s) > 1})
     if repeated:
         raise DataError(f"--seeds repeats {', '.join(map(str, repeated))}; give each seed once")
@@ -240,14 +243,15 @@ def run_ablation(args) -> dict[tuple[str, int], float]:
              args.train, args.test, args.verbalizer)
             for _, _, mode in ABLATION_ROWS for seed in args.seeds]
 
-    results: dict[tuple[str, int], float] = {}
+    results, curves = {}, {}
     spawn = multiprocessing.get_context("spawn")  # fresh workers read WORKER_ENV
     with _environment(WORKER_ENV), \
             ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-        for mode, seed, acc in pool.map(_ablation_worker, jobs):
+        for mode, seed, acc, epochs in pool.map(_ablation_worker, jobs):
             results[(mode, seed)] = acc
+            curves[(mode, seed)] = epochs
             print(f"done fusion={mode} seed={seed} acc={acc:.1f}")
-    return results
+    return results, curves
 
 
 def render_ablation(dataset: str, seeds, results) -> tuple[str, str]:
@@ -268,12 +272,17 @@ def render_ablation(dataset: str, seeds, results) -> tuple[str, str]:
 
 def cmd_ablation(args) -> int:
     dataset = Path(args.train).name.split(".")[0]
-    table, csv = render_ablation(dataset, args.seeds, run_ablation(args))
+    results, curves = run_ablation(args)
+    table, csv = render_ablation(dataset, args.seeds, results)
     print(table)
     if args.out:
+        epochs = ["fusion_method,seed,epoch,train_loss,train_acc,test_acc"]
+        epochs += [f"{name},{seed},{_epoch_line(row)}" for _, name, mode in ABLATION_ROWS
+                   for seed in args.seeds for row in curves[(mode, seed)]]
         Path(f"{args.out}.txt").write_text(table + "\n", encoding="utf-8")
         Path(f"{args.out}.csv").write_text(csv + "\n", encoding="utf-8")
-        print(f"report written to {args.out}.txt / {args.out}.csv")
+        Path(f"{args.out}.epochs.csv").write_text("\n".join(epochs) + "\n", encoding="utf-8")
+        print(f"report written to {args.out}.txt / {args.out}.csv / {args.out}.epochs.csv")
     return 0
 
 

@@ -122,9 +122,9 @@ def build_vocab(dataset: Dataset, min_freq: int = 1,
                 extra_texts: Iterable[str] = ()) -> Vocabulary:
     """Collect every lowercased whitespace token with frequency >= min_freq.
 
-    extra_texts are counted min_freq times each, so their tokens always
-    survive the frequency cutoff (used to keep verbalized label phrases
-    out of UNK territory).
+    Each token occurrence in extra_texts adds min_freq to its count, so
+    those tokens always survive the frequency cutoff (used to keep
+    verbalized label phrases out of UNK territory).
     """
     if min_freq < 1:
         raise DataError(f"min_freq must be >= 1, got {min_freq}")
@@ -132,8 +132,8 @@ def build_vocab(dataset: Dataset, min_freq: int = 1,
     for ex in dataset.examples:
         counts.update(_tokens(ex.text))
     for text in extra_texts:
-        for _ in range(min_freq):
-            counts.update(_tokens(text))
+        for token in _tokens(text):
+            counts[token] += min_freq
     kept = [t for t, c in counts.items() if c >= min_freq and t not in (PAD_TOKEN, UNK_TOKEN)]
     kept.sort(key=lambda t: (-counts[t], t))
     tokens = (PAD_TOKEN, UNK_TOKEN, *kept)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import ParamTensor
+from .nncore import ParamTensor, weight_grad
 
 FUSION_MODES = ("none", "add", "dot")
 MAX_DOT_SCALE = 100.0
@@ -120,7 +120,7 @@ def score_backward(d_logits: np.ndarray, cache: FusionCache):
         d_t = d @ head.w_out.value
     elif head.mode == "add":
         relu = np.maximum(cache.fused, 0)
-        head.w_mix.grad += relu.reshape(-1, relu.shape[2]).T @ d.reshape(-1)
+        head.w_mix.grad += weight_grad(relu.reshape(-1, relu.shape[2]), d.reshape(-1))
         head.b_out.grad += d.sum(axis=0)
         d_fused = d[:, :, None] * head.w_mix.value * (cache.fused > 0)
         d_t = d_fused.sum(axis=1)

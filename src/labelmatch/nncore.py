@@ -25,6 +25,11 @@ import numpy as np
 
 from .errors import DataError
 
+# Rows per partial product of a weight gradient. OpenBLAS splits one long
+# `x.T @ d` row reduction by its thread count (ATIS bits differed between 1
+# and 2 threads from 451 packed rows on); fixed chunks summed in order do not.
+GRAD_CHUNK_ROWS = 256
+
 
 class ParamStore:
     """One contiguous buffer each for the values, gradients and Adam moments
@@ -122,6 +127,14 @@ def segments(lengths) -> Segments:
     return Segments(lengths=lengths, starts=starts, positions=positions, runs=runs)
 
 
+def weight_grad(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x.T @ d, summed over consecutive GRAD_CHUNK_ROWS-row chunks in order."""
+    out = x[:GRAD_CHUNK_ROWS].T @ d[:GRAD_CHUNK_ROWS]
+    for lo in range(GRAD_CHUNK_ROWS, x.shape[0], GRAD_CHUNK_ROWS):
+        out += x[lo:lo + GRAD_CHUNK_ROWS].T @ d[lo:lo + GRAD_CHUNK_ROWS]
+    return out
+
+
 def _scatter_add(grad: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
     """grad[index[r]] += rows[r]; rows sharing an index are summed in row order
     first, so each touched row of grad takes one addition."""
@@ -217,9 +230,9 @@ def attention_backward(d_out: np.ndarray, cache: AttnCache) -> np.ndarray:
         d_scores *= cache.scale
         d_q[lo:hi] = (d_scores @ cache.k[lo:hi].reshape(block)).reshape(-1, d)
         d_k[lo:hi] = (d_scores.transpose(0, 2, 1) @ cache.q[lo:hi].reshape(block)).reshape(-1, d)
-    cache.wq.grad += cache.x.T @ d_q
-    cache.wk.grad += cache.x.T @ d_k
-    cache.wv.grad += cache.x.T @ d_v
+    cache.wq.grad += weight_grad(cache.x, d_q)
+    cache.wk.grad += weight_grad(cache.x, d_k)
+    cache.wv.grad += weight_grad(cache.x, d_v)
     return d_q @ cache.wq.value.T + d_k @ cache.wk.value.T + d_v @ cache.wv.value.T
 
 
@@ -246,11 +259,11 @@ def ffn_forward(x: np.ndarray, w1: ParamTensor, b1: ParamTensor,
 
 
 def ffn_backward(d_out: np.ndarray, cache: FfnCache) -> np.ndarray:
-    cache.w2.grad += cache.hidden.T @ d_out
+    cache.w2.grad += weight_grad(cache.hidden, d_out)
     cache.b2.grad += d_out.sum(axis=0)
     d_pre = d_out @ cache.w2.value.T
     d_pre *= cache.hidden > 0  # equals pre > 0: relu'(0) is taken as 0
-    cache.w1.grad += cache.x.T @ d_pre
+    cache.w1.grad += weight_grad(cache.x, d_pre)
     cache.b1.grad += d_pre.sum(axis=0)
     return d_pre @ cache.w1.value.T
 

@@ -18,12 +18,12 @@ Training is bit-deterministic: batches are consecutive slices of the epoch
 permutation. Each step runs one packed forward/backward (see encoder): the
 batch's texts and, when fusion consults labels, the K label phrases go
 through the encoder in the same pass, packed in a stable length-sorted order
-that depends only on the batch. Every parameter lives in one ParamStore, a
-flat buffer each for values, gradients and both Adam moments. Adam then
-checks the whole gradient (averaged over the batch) and updates the store in
-one pass of ADAM_BLOCK-element blocks. Each element sees the same
-elementwise operations in the same order as a per-tensor update, so the
-result does not depend on the block size.
+that depends only on the batch; weight gradients sum fixed row chunks in
+order (nncore.weight_grad), so no BLAS thread count changes the bits. Every
+parameter lives in one ParamStore, a flat buffer each for values, gradients
+and both Adam moments. Adam updates the embedding table row-sparsely (see
+adam_step) and the rest of the store in ADAM_BLOCK-element blocks; each
+element sees a per-tensor update's operations in the same order.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -286,43 +286,61 @@ def build_model(config: TrainConfig, train_set: Dataset,
 
 # --- optimizer -------------------------------------------------------------------
 
+def _adam_update(value, grad, m, v, lr: float, c1: float, c2: float, a, b) -> None:
+    """Adam's elementwise update in place; `a` and `b` are same-shape scratch."""
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
+    np.multiply(grad, grad, out=a)
+    a *= 1 - ADAM_BETA2
+    v += a
+    np.divide(m, c1, out=a)       # m_hat
+    a *= lr
+    np.divide(v, c2, out=b)       # v_hat
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    value -= a
+
+
 def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
     """Bias-corrected Adam update of every parameter; zeroes grads after.
 
-    `params` must be one store's parameters, in order. All-or-nothing: every
-    gradient is checked before anything changes. The store is then updated
-    in one pass of ADAM_BLOCK-element blocks with the elementwise arithmetic
-    of a per-tensor update, so the result is bit-identical to one.
+    `params` must be one store's parameters, in order. A leading matrix (the
+    embedding table) is updated row-sparsely, as LazyAdam does: a row whose
+    gradient is all zero keeps its value and moments, and the touched rows
+    (an entry != 0, so NaN counts) use the global step t. The rest of the
+    store is updated in ADAM_BLOCK-element blocks. All-or-nothing: touched
+    rows and the rest, so the whole gradient, are checked before any change.
     """
     if t < 1:
         raise TrainingError(f"step counter must be >= 1, got {t}")
     store = params[0].store
     if list(params) != store.params:
         raise ValueError("adam_step needs every parameter of one store, once, in order")
-    if not np.isfinite(store.grad).all():
+    table = params[0]
+    if table.value.ndim == 2:
+        rows = np.flatnonzero((table.grad != 0).any(axis=1))
+        start = table.value.size   # the dense pass starts after the table
+    else:
+        rows, start = np.empty(0, dtype=np.intp), 0
+    row_grad = table.grad[rows]
+    if not (np.isfinite(row_grad).all() and np.isfinite(store.grad[start:]).all()):
         bad = next(p for p in params if not np.isfinite(p.grad).all())
         raise TrainingError(f"non-finite gradient in parameter {bad.name!r}")
     c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
+    value, m, v = table.value[rows], table.adam_m[rows], table.adam_v[rows]
+    _adam_update(value, row_grad, m, v, lr, c1, c2, np.empty_like(value), np.empty_like(value))
+    table.value[rows], table.adam_m[rows], table.adam_v[rows] = value, m, v
+    table.grad[rows] = 0
     size = store.value.size
-    scratch_a = np.empty(min(size, ADAM_BLOCK), dtype=store.value.dtype)
+    scratch_a = np.empty(min(size - start, ADAM_BLOCK), dtype=store.value.dtype)
     scratch_b = np.empty_like(scratch_a)
-    for lo in range(0, size, ADAM_BLOCK):
+    for lo in range(start, size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, size)
-        g, m, v = store.grad[lo:hi], store.adam_m[lo:hi], store.adam_v[lo:hi]
-        a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1 - ADAM_BETA1, out=a)
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=a)
-        a *= 1 - ADAM_BETA2
-        v += a
-        np.divide(m, c1, out=a)       # m_hat
-        a *= lr
-        np.divide(v, c2, out=b)       # v_hat
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        store.value[lo:hi] -= a
+        g = store.grad[lo:hi]
+        _adam_update(store.value[lo:hi], g, store.adam_m[lo:hi], store.adam_v[lo:hi],
+                     lr, c1, c2, scratch_a[:hi - lo], scratch_b[:hi - lo])
         g[...] = 0
 
 

@@ -8,9 +8,10 @@ parameter name, so the model under test is only read. Tests compare the
 packed path against this in float64, where only the summation order
 differs.
 
-`adam_step` is the optimizer as one loop over parameter tensors, checking
-and updating each in turn. The flat pass keeps its elementwise arithmetic,
-so tests require bit-identical results from the two.
+`adam_step` is the optimizer as one loop over parameter tensors, and over
+the rows of a leading matrix, which it updates only where the gradient row
+is not all zero. The flat pass keeps its elementwise arithmetic, so tests
+require bit-identical results from the two.
 """
 
 from __future__ import annotations
@@ -144,17 +145,29 @@ def predict(model, seqs) -> list[int]:
                                         model.head.mode, v)[0])) for seq in seqs]
 
 
+def _adam_update(value, grad, m, v, lr, t, beta1, beta2, eps) -> None:
+    m *= beta1
+    m += (1 - beta1) * grad
+    v *= beta2
+    v += (1 - beta2) * (grad * grad)
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def adam_step(params, lr, t, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-    """Bias-corrected Adam, one tensor at a time; zeroes each grad after."""
-    for p in params:
-        g = p.grad
-        if not np.isfinite(g).all():
+    """Bias-corrected Adam, one tensor at a time; zeroes each grad after.
+
+    A leading matrix is updated one row at a time, and a row whose gradient
+    is all zero is skipped, keeping its value and moments."""
+    for i, p in enumerate(params):
+        if not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
-        p.adam_m *= beta1
-        p.adam_m += (1 - beta1) * g
-        p.adam_v *= beta2
-        p.adam_v += (1 - beta2) * (g * g)
-        m_hat = p.adam_m / (1 - beta1**t)
-        v_hat = p.adam_v / (1 - beta2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        if i == 0 and p.value.ndim == 2:
+            for row in range(p.value.shape[0]):
+                if (p.grad[row] != 0).any():
+                    _adam_update(p.value[row], p.grad[row], p.adam_m[row], p.adam_v[row],
+                                 lr, t, beta1, beta2, eps)
+        else:
+            _adam_update(p.value, p.grad, p.adam_m, p.adam_v, lr, t, beta1, beta2, eps)
         p.zero_grad()

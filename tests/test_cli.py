@@ -1,7 +1,10 @@
 import json
 import re
+import os
 import shlex
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -238,6 +241,24 @@ class TestCorruptedEvalInput:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    def test_huge_stored_min_freq_fails_fast(self, trained):
+        # eval rebuilds the vocabulary with the header's min_freq before it
+        # can compare fingerprints; 2**40 once meant 2**40 passes per phrase
+        ckpt, test = trained
+        raw = bytearray(ckpt.read_bytes())
+        at = 5 + 5 * 8  # magic, then batch_size, epochs, seed, dim, max_len
+        assert struct.unpack_from("<Q", raw, at) == (1,)
+        struct.pack_into("<Q", raw, at, 2**40)
+        ckpt.write_bytes(raw)
+        src = Path(labelmatch.nncore.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-m", "labelmatch.cli", "eval",
+                                 "--checkpoint", str(ckpt), "--test", str(test)],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True, timeout=10)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "fingerprint" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestUnreadableInput:
     @pytest.mark.parametrize("command", ["stats", "eval", "train"])
@@ -307,6 +328,23 @@ class TestAblationCommand:
         assert len(per_seed) == 3 and len(means) == 3
         for seed_line, mean_line in zip(per_seed, means):
             assert seed_line.rsplit(",", 1)[1] == mean_line.rsplit(",", 1)[1]
+
+    def test_per_epoch_curves(self, toy_files, tmp_path, capsys):
+        train, test = toy_files
+        report = tmp_path / "report"
+        assert run_cli("ablation", "--train", train, "--test", test, "--dim", "8",
+                       "--epochs", "2", "--seeds", "0", "1", "--out", report) == 0
+        lines = (tmp_path / "report.epochs.csv").read_text().splitlines()
+        assert lines[0] == "fusion_method,seed,epoch,train_loss,train_acc,test_acc"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (name, seed, epoch) for name in ("No", "Add", "Dot Product")
+            for seed in ("0", "1") for epoch in ("1", "2")]
+        final = {(r[0], r[1]): r[5] for r in rows if r[2] == "2"}
+        for line in (tmp_path / "report.csv").read_text().splitlines()[1:]:
+            _, name, _, seed, acc = line.split(",")
+            if seed != "mean":
+                assert final[(name, seed)] == acc
 
     def test_repeated_seed_refused_before_training(self, toy_files, tmp_path, capsys):
         # a repeated seed would train twice and count twice in the mean

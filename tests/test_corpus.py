@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,15 @@ class TestBuildVocab:
         ds = make_dataset([Example("X", "w w w")])
         vocab = build_vocab(ds, min_freq=3, extra_texts=["rare phrase"])
         assert "rare" in vocab.id_of and "phrase" in vocab.id_of
+
+    def test_huge_min_freq_is_not_a_loop(self):
+        # a checkpoint header supplies min_freq; phrases were once counted
+        # min_freq times each, one Counter.update per count
+        ds = make_dataset([Example("X", "w w w")])
+        started = time.monotonic()
+        vocab = build_vocab(ds, min_freq=10**9, extra_texts=["rare phrase", "rare"])
+        assert time.monotonic() - started < 1.0
+        assert vocab.tokens == ("<pad>", "<unk>", "rare", "phrase")
 
 
 class TestTokenize:

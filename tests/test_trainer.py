@@ -120,10 +120,46 @@ class TestAdamStep:
             with pytest.raises(ValueError, match="every parameter"):
                 adam_step(partial, lr=1e-3, t=1)
 
+    def test_untouched_table_row_keeps_its_bits(self):
+        store = ParamStore([("emb", (6, 4)), ("b", (3,))], dtype=np.float32)
+        rng = np.random.default_rng(4)
+        store.value[...] = rng.normal(size=store.value.size)
+        table, bias = store.params
+        for t in range(1, 4):
+            store.grad[...] = rng.normal(size=store.grad.size)
+            adam_step(store.params, lr=1e-2, t=t)
+        saved = {a: getattr(table, a)[2].copy() for a in ("value", "adam_m", "adam_v")}
+        moved = table.value[3].copy()
+        for t in range(4, 24):
+            table.grad[[0, 1, 3, 4, 5]] = rng.normal(size=(5, 4))
+            bias.grad[...] = rng.normal(size=3)
+            adam_step(store.params, lr=1e-2, t=t)
+        for a, old in saved.items():
+            assert np.array_equal(bits(getattr(table, a)[2]), bits(old)), a
+        assert not np.array_equal(table.value[3], moved)
+
+    def test_nan_in_an_otherwise_zero_table_row_is_caught(self, toy_sets):
+        train_set, _ = toy_sets
+        model = build_model(TrainConfig(fusion_mode="none", dim=8), train_set)
+        params = model.parameters()
+        rng = np.random.default_rng(6)
+        for p in params[1:]:
+            p.grad[...] = rng.normal(size=p.shape)
+        model.enc.emb.grad[0] = rng.normal(size=8)
+        model.enc.emb.grad[3, 5] = np.nan  # the rest of row 3 is zero
+        before = [[getattr(p, a).copy() for a in ("value", "grad", "adam_m", "adam_v")]
+                  for p in params]
+        with pytest.raises(TrainingError, match="'emb'"):
+            adam_step(params, lr=1e-2, t=1)
+        for p, saved in zip(params, before):
+            for a, old in zip(("value", "grad", "adam_m", "adam_v"), saved):
+                assert np.array_equal(bits(getattr(p, a)), bits(old)), (p.name, a)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_per_tensor_reference_bitwise(self, dtype):
         # a tensor straddles the first block boundary and the store ends in
-        # a partial block
+        # a partial block; every third row of the leading matrix, a
+        # different third each step, gets no gradient and is skipped
         shapes = [("a", (300, 257)), ("b", (7,)), ("c", (1,))]
         store = ParamStore(shapes, dtype=dtype)
         assert store.value.size > ADAM_BLOCK and store.value.size % ADAM_BLOCK
@@ -135,6 +171,7 @@ class TestAdamStep:
             scale = 10.0 ** rng.integers(-6, 3, size=store.value.size)
             grad = (rng.normal(size=store.value.size) * scale).astype(dtype)
             grad[rng.random(grad.size) < 0.1] = 0
+            grad[:300 * 257].reshape(300, 257)[t % 3::3] = 0
             store.grad[...] = grad
             for p, lo in zip(singles, offsets):
                 p.grad[...] = grad[lo:lo + p.value.size].reshape(p.shape)
@@ -438,3 +475,28 @@ def test_atis_steps_reuse_freed_heap(atis_train_path):
                             env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
                             capture_output=True, text=True, timeout=300, check=True)
     assert float(result.stdout) <= 10
+
+
+THREADED_EPOCH = textwrap.dedent("""
+    import hashlib
+    import labelmatch as lm
+
+    train_set = lm.load_dataset({train!r})
+    test_set = lm.load_dataset({test!r}, split="test")
+    model, _ = lm.train(lm.TrainConfig(fusion_mode="dot", epochs=1, seed=3),
+                        train_set, test_set)
+    print(hashlib.sha256(model.enc.emb.store.value.tobytes()).hexdigest())
+""")
+
+
+def test_training_bits_do_not_depend_on_blas_threads(atis_train_path, atis_test_path):
+    """From 451 packed rows on, one weight-gradient gemm over every row of an
+    ATIS batch summed in a different order under 1 and 2 OpenBLAS threads."""
+    src = Path(labelmatch.trainer.__file__).resolve().parents[1]
+    code = THREADED_EPOCH.format(train=str(atis_train_path), test=str(atis_test_path))
+    hashes = [subprocess.run([sys.executable, "-c", code],
+                             env={**os.environ, "PYTHONPATH": str(src),
+                                  "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+                             capture_output=True, text=True, timeout=300, check=True).stdout
+              for threads in ("1", "2")]
+    assert hashes[0] == hashes[1]
