@@ -10,10 +10,11 @@ training, float64 when a model is built for gradient checking.
 
 Packing: the encoder stacks the valid rows of many sequences back to back
 in one array, and `Segments` records where each sequence starts. Row-wise
-layers (embedding, FFN) run once over all rows. Attention runs once per run
-of equal-length segments as a batched matmul, and pooling sums each
-segment's own rows. No padding row exists, so no sequence's output can be
-perturbed by padding or by the other sequences in its pack.
+layers (embedding, FFN) run once over all rows. Attention's matmuls run once
+per run of equal-length segments as a batched matmul, its softmax once over
+the scores of all runs, and pooling sums each segment's own rows. No
+padding row exists, so no sequence's output can be perturbed by padding or
+by the other sequences in its pack.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def segments(lengths) -> Segments:
     positions = np.arange(ends[-1]) - np.repeat(starts, lengths)
     first = np.flatnonzero(np.concatenate(([True], lengths[1:] != lengths[:-1])))
     counts = np.diff(np.append(first, lengths.size))
-    runs = tuple((int(starts[f]), int(c), int(lengths[f])) for f, c in zip(first, counts))
+    runs = tuple(zip(starts[first].tolist(), counts.tolist(), lengths[first].tolist()))
     return Segments(lengths=lengths, starts=starts, positions=positions, runs=runs)
 
 
@@ -181,55 +182,93 @@ class AttnCache:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    weights: list        # per run: (count, length, length) row softmaxes
+    weights: np.ndarray    # every run's (count, length, length) row softmaxes, flat
+    row_len: np.ndarray    # packed row r's softmax row has row_len[r] entries
     scale: float
     wq: ParamTensor
     wk: ParamTensor
     wv: ParamTensor
 
 
+def _square_blocks(flat: np.ndarray, segs: Segments) -> list[np.ndarray]:
+    """Each run's (count, length, length) block of a buffer that holds the
+    runs' blocks back to back, in run order."""
+    blocks, lo = [], 0
+    for _, count, length in segs.runs:
+        hi = lo + count * length * length
+        blocks.append(flat[lo:hi].reshape(count, length, length))
+        lo = hi
+    return blocks
+
+
+def _row_sums(blocks: list[np.ndarray], segs: Segments) -> np.ndarray:
+    """Sum of every block row, one per packed row. Each run sums along its
+    last axis, as a per-run softmax does; np.add.reduceat over the flat
+    buffer would add in another order and change bits from length 3 on."""
+    sums = np.empty(segs.positions.size, dtype=blocks[0].dtype)
+    for (lo, count, length), block in zip(segs.runs, blocks):
+        block.sum(axis=2, out=sums[lo:lo + count * length].reshape(count, length))
+    return sums
+
+
 def attention_forward(x: np.ndarray, segs: Segments,
                       wq: ParamTensor, wk: ParamTensor, wv: ParamTensor):
     """Single-head scaled dot-product attention within each segment.
 
-    A row attends to every row of its own segment and to no other row.
+    A row attends to every row of its own segment and to no other row. Each
+    run's scores are one batched matmul into a flat buffer that holds every
+    run's scores; the softmax's elementwise steps run once over that buffer.
     """
     d = x.shape[1]
     scale = 1.0 / math.sqrt(d)
     q = x @ wq.value
     k = x @ wk.value
     v = x @ wv.value
-    out = np.empty_like(v)
-    weights = []
-    for lo, count, length in segs.runs:
+    row_len = np.repeat(segs.lengths, segs.lengths)
+    row_end = np.cumsum(row_len)
+    w = np.empty(int(row_end[-1]), dtype=q.dtype)
+    blocks = _square_blocks(w, segs)
+    for (lo, count, length), block in zip(segs.runs, blocks):
         hi = lo + count * length
-        block = (count, length, d)
-        scores = q[lo:hi].reshape(block) @ k[lo:hi].reshape(block).transpose(0, 2, 1)
-        scores *= scale
-        scores -= scores.max(axis=2, keepdims=True)
-        e = np.exp(scores)
-        w = e / e.sum(axis=2, keepdims=True)
-        out[lo:hi] = (w @ v[lo:hi].reshape(block)).reshape(-1, d)
-        weights.append(w)
-    return out, AttnCache(segs=segs, x=x, q=q, k=k, v=v, weights=weights,
+        shape = (count, length, d)
+        np.matmul(q[lo:hi].reshape(shape), k[lo:hi].reshape(shape).transpose(0, 2, 1),
+                  out=block)
+    w *= scale
+    w -= np.repeat(np.maximum.reduceat(w, row_end - row_len), row_len)
+    np.exp(w, out=w)
+    w /= np.repeat(_row_sums(blocks, segs), row_len)
+    out = np.empty_like(v)
+    for (lo, count, length), block in zip(segs.runs, blocks):
+        hi = lo + count * length
+        shape = (count, length, d)
+        np.matmul(block, v[lo:hi].reshape(shape), out=out[lo:hi].reshape(shape))
+    return out, AttnCache(segs=segs, x=x, q=q, k=k, v=v, weights=w, row_len=row_len,
                           scale=scale, wq=wq, wk=wk, wv=wv)
 
 
 def attention_backward(d_out: np.ndarray, cache: AttnCache) -> np.ndarray:
+    segs, w = cache.segs, cache.weights
     d = d_out.shape[1]
     d_q = np.empty_like(d_out)
     d_k = np.empty_like(d_out)
     d_v = np.empty_like(d_out)
-    for (lo, count, length), w in zip(cache.segs.runs, cache.weights):
+    d_w = np.empty_like(w)   # d_loss/d_weights, then d_loss/d_scores in place
+    w_blocks, d_blocks = _square_blocks(w, segs), _square_blocks(d_w, segs)
+    for (lo, count, length), w_block, d_block in zip(segs.runs, w_blocks, d_blocks):
         hi = lo + count * length
-        block = (count, length, d)
-        d_o = d_out[lo:hi].reshape(block)
-        d_v[lo:hi] = (w.transpose(0, 2, 1) @ d_o).reshape(-1, d)
-        d_w = d_o @ cache.v[lo:hi].reshape(block).transpose(0, 2, 1)
-        d_scores = w * (d_w - (d_w * w).sum(axis=2, keepdims=True))
-        d_scores *= cache.scale
-        d_q[lo:hi] = (d_scores @ cache.k[lo:hi].reshape(block)).reshape(-1, d)
-        d_k[lo:hi] = (d_scores.transpose(0, 2, 1) @ cache.q[lo:hi].reshape(block)).reshape(-1, d)
+        shape = (count, length, d)
+        d_o = d_out[lo:hi].reshape(shape)
+        np.matmul(w_block.transpose(0, 2, 1), d_o, out=d_v[lo:hi].reshape(shape))
+        np.matmul(d_o, cache.v[lo:hi].reshape(shape).transpose(0, 2, 1), out=d_block)
+    d_w -= np.repeat(_row_sums(_square_blocks(d_w * w, segs), segs), cache.row_len)
+    d_w *= w
+    d_w *= cache.scale
+    for (lo, count, length), d_block in zip(segs.runs, d_blocks):
+        hi = lo + count * length
+        shape = (count, length, d)
+        np.matmul(d_block, cache.k[lo:hi].reshape(shape), out=d_q[lo:hi].reshape(shape))
+        np.matmul(d_block.transpose(0, 2, 1), cache.q[lo:hi].reshape(shape),
+                  out=d_k[lo:hi].reshape(shape))
     cache.wq.grad += weight_grad(cache.x, d_q)
     cache.wk.grad += weight_grad(cache.x, d_k)
     cache.wv.grad += weight_grad(cache.x, d_v)

@@ -132,10 +132,10 @@ def _unit_floats(seed: int, start: int, count: int) -> np.ndarray:
 
 def shuffled_indices(n: int, seed: int) -> list[int]:
     """Descending Fisher-Yates permutation of range(n) driven by splitmix64."""
-    draws = _raw_stream(seed, 0, max(n - 1, 0))
+    draws = _raw_stream(seed, 0, max(n - 1, 0)).tolist()   # Python ints: no uint64 scalars
     idx = list(range(n))
-    for step, i in enumerate(range(n - 1, 0, -1)):
-        j = int(draws[step] % np.uint64(i + 1))
+    for i, draw in zip(range(n - 1, 0, -1), draws):
+        j = draw % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
 
@@ -303,6 +303,25 @@ def _adam_update(value, grad, m, v, lr: float, c1: float, c2: float, a, b) -> No
     value -= a
 
 
+def _touched_rows(grad: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of a 2-D gradient with an entry != 0, so
+    NaN counts and -0.0 does not. The != 0 mask, its rows padded with False
+    to whole 64-bit words, is packed to bits, and a row is touched iff one of
+    its words is nonzero: one pass, where `.any(axis=1)` reduces row by row
+    (0.40 against 0.23 ms in a TREC6 step, 3-4x slower on a cached table).
+    """
+    n, width = grad.shape
+    words = -(-width // 64)
+    mask = np.empty((n, words * 64), dtype=bool)
+    np.not_equal(grad, 0, out=mask[:, :width])
+    mask[:, width:] = False
+    packed = np.packbits(mask.reshape(-1)).view(np.uint64).reshape(n, words)
+    hit = packed[:, 0]
+    for col in range(1, words):
+        hit = hit | packed[:, col]
+    return np.flatnonzero(hit)
+
+
 def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
     """Bias-corrected Adam update of every parameter; zeroes grads after.
 
@@ -320,7 +339,7 @@ def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
         raise ValueError("adam_step needs every parameter of one store, once, in order")
     table = params[0]
     if table.value.ndim == 2:
-        rows = np.flatnonzero((table.grad != 0).any(axis=1))
+        rows = _touched_rows(table.grad)
         start = table.value.size   # the dense pass starts after the table
     else:
         rows, start = np.empty(0, dtype=np.intp), 0

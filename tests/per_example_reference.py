@@ -12,6 +12,11 @@ differs.
 the rows of a leading matrix, which it updates only where the gradient row
 is not all zero. The flat pass keeps its elementwise arithmetic, so tests
 require bit-identical results from the two.
+
+`attention_forward`/`attention_backward` are the packed attention with every
+softmax step run once per run of equal-length segments. The library runs
+those steps once over all runs' scores; the arithmetic per element is the
+same, so tests require bit-identical results from the two.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 import numpy as np
 
 from labelmatch.errors import TrainingError
+from labelmatch.nncore import weight_grad
 
 MAX_DOT_SCALE = 100.0
 
@@ -171,3 +177,45 @@ def adam_step(params, lr, t, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
         else:
             _adam_update(p.value, p.grad, p.adam_m, p.adam_v, lr, t, beta1, beta2, eps)
         p.zero_grad()
+
+
+def attention_forward(x, segs, v):
+    """(output, per-run (count, length, length) softmax weights)."""
+    d = x.shape[1]
+    scale = 1.0 / math.sqrt(d)
+    q, k, val = x @ v["wq"], x @ v["wk"], x @ v["wv"]
+    out = np.empty_like(val)
+    weights = []
+    for lo, count, length in segs.runs:
+        hi = lo + count * length
+        block = (count, length, d)
+        scores = q[lo:hi].reshape(block) @ k[lo:hi].reshape(block).transpose(0, 2, 1)
+        scores *= scale
+        scores -= scores.max(axis=2, keepdims=True)
+        e = np.exp(scores)
+        w = e / e.sum(axis=2, keepdims=True)
+        out[lo:hi] = (w @ val[lo:hi].reshape(block)).reshape(-1, d)
+        weights.append(w)
+    return out, weights
+
+
+def attention_backward(d_out, x, segs, weights, v, grads):
+    """d_x for the forward above; adds the wq, wk and wv gradients to grads."""
+    d = x.shape[1]
+    scale = 1.0 / math.sqrt(d)
+    q, k, val = x @ v["wq"], x @ v["wk"], x @ v["wv"]
+    d_q, d_k, d_v = (np.empty_like(d_out) for _ in range(3))
+    for (lo, count, length), w in zip(segs.runs, weights):
+        hi = lo + count * length
+        block = (count, length, d)
+        d_o = d_out[lo:hi].reshape(block)
+        d_v[lo:hi] = (w.transpose(0, 2, 1) @ d_o).reshape(-1, d)
+        d_w = d_o @ val[lo:hi].reshape(block).transpose(0, 2, 1)
+        d_scores = w * (d_w - (d_w * w).sum(axis=2, keepdims=True))
+        d_scores *= scale
+        d_q[lo:hi] = (d_scores @ k[lo:hi].reshape(block)).reshape(-1, d)
+        d_k[lo:hi] = (d_scores.transpose(0, 2, 1) @ q[lo:hi].reshape(block)).reshape(-1, d)
+    grads["wq"] += weight_grad(x, d_q)
+    grads["wk"] += weight_grad(x, d_k)
+    grads["wv"] += weight_grad(x, d_v)
+    return d_q @ v["wq"].T + d_k @ v["wk"].T + d_v @ v["wv"].T

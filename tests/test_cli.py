@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import re
 import os
 import shlex
+import shutil
+import signal
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import labelmatch.nncore
 from labelmatch.cli import build_parser, main, render_ablation
@@ -17,8 +23,7 @@ from labelmatch.corpus import load_dataset
 from labelmatch.trainer import TrainConfig, build_model, load_checkpoint, save_checkpoint
 
 
-@pytest.fixture
-def toy_files(tmp_path):
+def write_toy_files(directory: Path) -> tuple[Path, Path]:
     colors = ["blue sky above", "green grass below", "red paint bucket",
               "yellow sun shines", "blue and green mix", "deep red color"]
     animals = ["the dog barks", "a cat sleeps", "small bird sings",
@@ -27,11 +32,16 @@ def toy_files(tmp_path):
     for i in range(2):
         rows += [("color", t + f" v{i}") for t in colors]
         rows += [("animal", t + f" v{i}") for t in animals]
-    train = tmp_path / "toy.train.tsv"
+    train = directory / "toy.train.tsv"
     train.write_text("".join(f"{lab}\t{txt}\n" for lab, txt in rows), encoding="utf-8")
-    test = tmp_path / "toy.test.tsv"
+    test = directory / "toy.test.tsv"
     test.write_text("".join(f"{lab}\t{txt}\n" for lab, txt in rows[:8]), encoding="utf-8")
     return train, test
+
+
+@pytest.fixture
+def toy_files(tmp_path):
+    return write_toy_files(tmp_path)
 
 
 def run_cli(*argv) -> int:
@@ -307,6 +317,110 @@ class TestUnreadableInput:
         assert_clean_exit_two(capsys, "train", "--train", train, "--test", test, "--dim", "8",
                               "--epochs", "0", "--verbalizer", verbalizer,
                               "--out", tmp_path / "model.ckpt", message="not valid JSON")
+
+
+# Mutated-input property: each example changes up to three bytes of one
+# input file, each drawn from its first 128 bytes (where the headers are) or
+# from the whole file, and may cut the file short; the command must exit 0 or
+# 2 with no traceback, within the bound. Examples are fixed (derandomized)
+# and few, so the suite's time stays flat.
+FUZZ_EXAMPLES = 25
+FUZZ_BOUND_S = 10.0
+
+
+class _Overran(BaseException):
+    """Raised by the timer; neither an OSError nor a LabelMatchError, so
+    main() cannot turn it into an exit code."""
+
+
+def _overran(signum, frame):
+    raise _Overran
+
+
+def run_cli_bounded(argv, bound: float) -> tuple[int, str]:
+    """(exit code, stderr) of main(argv), with warnings shown as the command
+    line shows them; a call still running after `bound` seconds fails."""
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, bound)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("default")
+            code = main([str(a) for a in argv])
+    except _Overran:
+        pytest.fail(f"{argv[0]} ran past {bound} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Base files: a 1-epoch `dot` checkpoint trained with a verbalizer, its
+    manifest, the toy TSVs and the verbalizer; plus a directory for the
+    mutated copies."""
+    base = tmp_path_factory.mktemp("fuzz-base")
+    train, test = write_toy_files(base)
+    verbalizer = base / "verbalizer.json"
+    verbalizer.write_text(json.dumps({"color": "a colour", "animal": "an animal"}),
+                          encoding="utf-8")
+    ckpt = base / "model.ckpt"
+    assert run_cli("train", "--train", train, "--test", test, "--fusion", "dot", "--dim", "8",
+                   "--epochs", "1", "--verbalizer", verbalizer, "--out", ckpt) == 0
+    manifest = base / "model.ckpt.manifest.json"
+    return dict(train=train, test=test, verbalizer=verbalizer, ckpt=ckpt, manifest=manifest,
+                work=tmp_path_factory.mktemp("fuzz-case"))
+
+
+def fuzz_case(files, reader):
+    """(file to mutate, where the mutated copy goes, argv that reads it)."""
+    work = files["work"]
+    ckpt, test = work / "model.ckpt", files["test"]
+    shutil.copyfile(files["ckpt"], ckpt)
+    shutil.copyfile(files["manifest"], work / "model.ckpt.manifest.json")
+    evaluate = ["eval", "--checkpoint", ckpt, "--test", test]
+    if reader == "checkpoint":
+        return files["ckpt"], ckpt, evaluate
+    if reader == "manifest":
+        return files["manifest"], work / "model.ckpt.manifest.json", evaluate
+    if reader == "test-tsv":
+        return files["test"], work / "test.tsv", evaluate[:-1] + [work / "test.tsv"]
+    if reader == "train-tsv":
+        return files["train"], work / "train.tsv", ["stats", "--data", work / "train.tsv"]
+    return files["verbalizer"], work / "verbalizer.json", [
+        "train", "--train", files["train"], "--test", test, "--dim", "8", "--epochs", "0",
+        "--verbalizer", work / "verbalizer.json", "--out", work / "verbalized.ckpt"]
+
+
+def mutate(raw: bytes, edits, cut) -> bytes:
+    out = bytearray(raw)
+    for at, byte in edits:
+        out[at % len(out)] = byte
+    return bytes(out[:cut])
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+@pytest.mark.parametrize("reader", ["checkpoint", "manifest", "test-tsv", "train-tsv",
+                                    "verbalizer"])
+def test_mutated_input_exits_cleanly(fuzz_inputs, reader):
+    source, target, argv = fuzz_case(fuzz_inputs, reader)
+    raw = source.read_bytes()
+    position = st.one_of(st.integers(0, 127), st.integers(0, len(raw) - 1))
+    edits = st.lists(st.tuples(position, st.integers(0, 255)), min_size=1, max_size=3)
+    cut = st.one_of(st.none(), st.integers(0, len(raw)))
+
+    @settings(max_examples=FUZZ_EXAMPLES, derandomize=True, database=None, deadline=None)
+    @given(edits, cut)
+    def check(edits, cut):
+        target.write_bytes(mutate(raw, edits, cut))
+        code, err = run_cli_bounded(argv, FUZZ_BOUND_S)
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: "), err
+
+    check()
 
 
 class TestAblationCommand:

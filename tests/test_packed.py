@@ -1,5 +1,6 @@
-"""The packed forward/backward against the per-example reference, and the
-dtype every activation and gradient keeps."""
+"""The packed forward/backward against the per-example reference, packed
+attention against the per-run reference, and the dtype every activation and
+gradient keeps."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 import labelmatch.nncore
 import labelmatch.trainer
 import per_example_reference as reference
-from labelmatch.corpus import Example, make_dataset, tokenize
-from labelmatch.encoder import encode, encode_labels_forward
+from labelmatch.corpus import Example, load_dataset, make_dataset, tokenize, tokenize_texts
+from labelmatch.encoder import encode, encode_batch_forward, encode_labels_forward
+from labelmatch.nncore import attention_backward, attention_forward, segments
 from labelmatch.fusion import score_forward
 from labelmatch.trainer import (TrainConfig, adam_step, batch_step, build_model,
                                 evaluate_seqs, forward)
@@ -25,6 +27,10 @@ EXAMPLES = [
 TEXTS = ["what time does the flight leave boston", "cheapest fare", "taxi",
          "how much is the first flight", "car rental", "the airport the airport",
          "when does the flight to denver land"]
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.uint8)
 
 
 def close(packed, ref):
@@ -84,6 +90,56 @@ class TestAgainstPerExampleReference:
         result = evaluate_seqs(model, seqs, preds)
         assert chunks == [3, 1, 1, 1, 1]
         assert result.correct == result.total == len(seqs)
+
+
+def attention_pack(pack, dtype, data_dir):
+    """(x, segs, wq, wk, wv) of one attention call.
+
+    A dataset pack is what a training step of the `dot` head feeds attention:
+    32 texts, 3 one-word texts and the K label phrases, embedded and packed
+    as encode_batch_forward packs them. "single-rows" mixes runs of
+    one-row segments with short runs of longer ones.
+    """
+    rng = np.random.default_rng(11)
+    if pack == "single-rows":
+        segs = segments([1, 1, 1, 2, 1, 3, 3, 1, 1, 4])
+        x = rng.normal(size=(segs.positions.size, 8)).astype(dtype)
+        wq, wk, wv = (labelmatch.nncore.ParamTensor(n, rng.normal(size=(8, 8)).astype(dtype))
+                      for n in ("wq", "wk", "wv"))
+        return x, segs, wq, wk, wv
+    train_set = load_dataset(data_dir / f"{pack}.train.tsv", split="train")
+    model = build_model(TrainConfig(fusion_mode="dot", seed=3), train_set, dtype=dtype)
+    texts = [ex.text for ex in train_set.examples[:32]]
+    texts += [ex.text.split()[0] for ex in train_set.examples[32:35]]
+    seqs = tokenize_texts(texts, model.vocab, model.config.max_len)
+    _, cache = encode_batch_forward(seqs + list(model.labels.token_seqs), model.enc)
+    enc = model.enc
+    return cache.attn_cache.x, cache.segs, enc.wq, enc.wk, enc.wv
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pack", ["trec6", "atis", "single-rows"])
+def test_attention_matches_per_run_reference_bitwise(pack, dtype, data_dir):
+    x, segs, wq, wk, wv = attention_pack(pack, dtype, data_dir)
+    runs = segs.runs
+    assert any(length == 1 for _, _, length in runs)
+    assert any(count > 1 and length >= 3 for _, count, length in runs)
+    v = {p.name: p.value for p in (wq, wk, wv)}
+    out, cache = attention_forward(x, segs, wq, wk, wv)
+    ref_out, ref_weights = reference.attention_forward(x, segs, v)
+    assert out.dtype == dtype and np.array_equal(bits(out), bits(ref_out))
+    flat = np.concatenate([w.reshape(-1) for w in ref_weights])
+    assert np.array_equal(bits(cache.weights), bits(flat))
+
+    d_out = np.random.default_rng(12).normal(size=x.shape).astype(dtype)
+    grads = {name: np.zeros_like(value) for name, value in v.items()}
+    for p in (wq, wk, wv):
+        p.zero_grad()
+    d_x = attention_backward(d_out, cache)
+    ref_d_x = reference.attention_backward(d_out, x, segs, ref_weights, v, grads)
+    assert d_x.dtype == dtype and np.array_equal(bits(d_x), bits(ref_d_x))
+    for p in (wq, wk, wv):
+        assert np.array_equal(bits(p.grad), bits(grads[p.name])), p.name
 
 
 def _record_float_dtypes(monkeypatch, module, names, seen):

@@ -57,6 +57,53 @@ def assert_one_store(params: list[ParamTensor]) -> None:
             assert np.shares_memory(getattr(p, name), getattr(store, name))
 
 
+def splitmix64_fisher_yates(n: int, seed: int) -> list[int]:
+    """The trainer module docstring's shuffle, in Python ints only."""
+    mask = 2**64 - 1
+
+    def out(c: int) -> int:
+        z = (seed + (c + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = out(n - 1 - i) % (i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+class TestTouchedRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [4, 8, 64, 72])
+    def test_same_rows_as_any_nonzero(self, width, dtype):
+        rng = np.random.default_rng(width)
+        grad = np.zeros((40, width), dtype=dtype)
+        grad[[1, 7, 30]] = rng.normal(size=(3, width))
+        grad[2, width - 1] = np.nan                               # NaN counts
+        grad[5, 0] = np.finfo(dtype).smallest_subnormal           # so do denormals
+        grad[9, width // 2] = -np.finfo(dtype).smallest_subnormal
+        grad[[11, 12]] = -0.0                                     # -0.0 does not
+        grad[13, ::3] = -0.0
+        grad[13, 1] = 1e-30
+        grad[20, [0, width - 1]] = [-0.0, np.inf]
+        grad[39, width - 1] = 3.0                                 # the last entry
+        rows = labelmatch.trainer._touched_rows(grad)
+        expected = np.flatnonzero((grad != 0).any(axis=1))
+        assert expected.tolist() == [1, 2, 5, 7, 9, 13, 20, 30, 39]
+        assert rows.tolist() == expected.tolist()
+
+    def test_dense_and_empty(self):
+        rng = np.random.default_rng(2)
+        for width in (1, 63, 64, 65, 130):
+            grad = rng.normal(size=(17, width)).astype(np.float32)
+            grad[rng.random(grad.shape) < 0.97] = 0
+            expected = np.flatnonzero((grad != 0).any(axis=1))
+            assert labelmatch.trainer._touched_rows(grad).tolist() == expected.tolist()
+            assert labelmatch.trainer._touched_rows(np.zeros_like(grad)).size == 0
+
+
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
         p = ParamTensor("p", np.array([1.0, -2.0], dtype=np.float32))
@@ -220,6 +267,11 @@ class TestShuffle:
 
     def test_seed_changes_order(self):
         assert shuffled_indices(50, seed=1) != shuffled_indices(50, seed=2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 97, 5452])
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+    def test_follows_the_documented_rule(self, n, seed):
+        assert shuffled_indices(n, seed) == splitmix64_fisher_yates(n, seed)
 
 
 class TestTrain:
