@@ -4,9 +4,9 @@ One EncoderParams instance serves both utterances and verbalized label
 phrases; there is no second parameter set, so label representations move
 whenever training updates the encoder.
 
-The forward pass takes a list of sequences and packs their valid prefixes
-(a TokenSeq's first true_len ids) into one array, stably sorted by length so
-equal lengths sit together: row-wise layers run once over every row,
+The forward pass reads a Pack: the valid prefixes (a TokenSeq's first
+true_len ids) of a list of sequences in one array, stably sorted by length
+so equal lengths sit together: row-wise layers run once over every row,
 attention once per length (see nncore). Padding never enters, and a
 sequence's vector does not depend on which sequences share its pack beyond
 floating-point summation order.
@@ -57,35 +57,50 @@ class LabelSet:
         return len(self.label_names)
 
 
-@dataclass
-class EncodeCache:
+@dataclass(frozen=True)
+class Pack:
+    """The parameter-independent layout of a packed pass; its arrays are read-only."""
+
     order: np.ndarray    # packed segment i is input sequence order[i]
     segs: nncore.Segments
+    ids: np.ndarray      # every packed segment's valid ids, back to back
+
+
+def pack(seqs) -> Pack:
+    """Pack `seqs` in stable length order, for any number of forward passes."""
+    lengths = np.array([seq.true_len for seq in seqs], dtype=np.int64)
+    order = np.argsort(lengths, kind="stable")
+    segs = nncore.segments(lengths[order])
+    ids = np.concatenate([seqs[i].ids[:seqs[i].true_len] for i in order])
+    for a in (order, ids, segs.lengths, segs.starts, segs.positions, segs.row_len, segs.row_end):
+        a.flags.writeable = False
+    return Pack(order=order, segs=segs, ids=ids)
+
+
+@dataclass
+class EncodeCache:
+    pack: Pack
     embed_cache: nncore.EmbedCache
     attn_cache: nncore.AttnCache
     ffn_cache: nncore.FfnCache
 
 
-def encode_batch_forward(seqs, params: EncoderParams):
+def encode_batch_forward(batch: Pack, params: EncoderParams):
     """Embed + one residual attention/FFN block + mean pooling, for every
-    sequence in one packed pass; returns (len(seqs) x d vectors, cache)."""
-    lengths = np.array([seq.true_len for seq in seqs], dtype=np.int64)
-    order = np.argsort(lengths, kind="stable")
-    segs = nncore.segments(lengths[order])
-    ids = np.concatenate([seqs[i].ids[:seqs[i].true_len] for i in order])
-    x0, embed_cache = nncore.embed_forward(ids, segs.positions, params.emb, params.pos)
-    x1, attn_cache = nncore.attention_forward(x0, segs, params.wq, params.wk, params.wv)
+    sequence of the pack; returns (sequence count x d vectors, cache)."""
+    x0, embed_cache = nncore.embed_forward(batch.ids, batch.segs.positions, params.emb, params.pos)
+    x1, attn_cache = nncore.attention_forward(x0, batch.segs, params.wq, params.wk, params.wv)
     x1 += x0  # residual, in place: the attention output is not kept
     x2, ffn_cache = nncore.ffn_forward(x1, params.w1, params.b1, params.w2, params.b2)
     x2 += x1
-    vecs = np.empty((len(seqs), x2.shape[1]), dtype=x2.dtype)
-    vecs[order] = nncore.mean_pool_masked(x2, segs)
-    return vecs, EncodeCache(order=order, segs=segs, embed_cache=embed_cache,
+    vecs = np.empty((batch.order.size, x2.shape[1]), dtype=x2.dtype)
+    vecs[batch.order] = nncore.mean_pool_masked(x2, batch.segs)
+    return vecs, EncodeCache(pack=batch, embed_cache=embed_cache,
                              attn_cache=attn_cache, ffn_cache=ffn_cache)
 
 
 def encode_batch_backward(d_vecs: np.ndarray, cache: EncodeCache) -> None:
-    d_x2 = nncore.mean_pool_backward(d_vecs[cache.order], cache.segs)
+    d_x2 = nncore.mean_pool_backward(d_vecs[cache.pack.order], cache.pack.segs)
     d_x1 = nncore.ffn_backward(d_x2, cache.ffn_cache)
     d_x1 += d_x2
     d_x0 = nncore.attention_backward(d_x1, cache.attn_cache)
@@ -95,7 +110,7 @@ def encode_batch_backward(d_vecs: np.ndarray, cache: EncodeCache) -> None:
 
 def encode_forward(seq: TokenSeq, params: EncoderParams):
     """One sequence through the packed pass; returns (d-vector, cache)."""
-    vecs, cache = encode_batch_forward([seq], params)
+    vecs, cache = encode_batch_forward(pack([seq]), params)
     return vecs[0], cache
 
 
@@ -110,7 +125,7 @@ def encode(seq: TokenSeq, params: EncoderParams) -> np.ndarray:
 
 def encode_labels_forward(labels: LabelSet, params: EncoderParams):
     """Every label phrase in one packed pass; returns (K x d matrix, cache)."""
-    return encode_batch_forward(labels.token_seqs, params)
+    return encode_batch_forward(pack(labels.token_seqs), params)
 
 
 def encode_labels_backward(d_matrix: np.ndarray, cache: EncodeCache) -> None:

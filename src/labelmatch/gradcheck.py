@@ -22,7 +22,8 @@ from .errors import VerificationError
 from .fusion import (FUSION_MODES, FusionHead, head_template, score_backward,
                      score_forward, uses_labels)
 from .nncore import GradCheckReport, ParamTensor, finite_diff_check
-from .trainer import Model, TrainConfig, _tokenize_dataset, batch_step, build_model, forward
+from .trainer import (Model, TrainConfig, _tokenize_dataset, batch_step, build_model, forward,
+                      pack_batch)
 
 LAYER_THRESHOLD = 1e-6
 MODEL_THRESHOLD = 1e-3
@@ -151,18 +152,18 @@ def check_head(mode: str) -> GradCheckReport:
 
 # --- full model -------------------------------------------------------------------
 
-def _relu_inputs(model: Model, seqs) -> tuple[np.ndarray, np.ndarray | None]:
+def _relu_inputs(model: Model, batch) -> tuple[np.ndarray, np.ndarray | None]:
     """From the model's forward pass: the FFN preactivations of every row it
     encodes (recomputed from the cached FFN input), and for the additive head
     the fused text+label vectors (else None)."""
-    _, (encode_cache, score_cache) = forward(model, seqs)
+    _, (encode_cache, score_cache) = forward(model, batch)
     ffn = encode_cache.ffn_cache
     fused = score_cache.fused
     return (ffn.x @ ffn.w1.value + ffn.b1.value,
             None if fused is None else fused.reshape(-1, fused.shape[2]))
 
 
-def _nudge_relu_safe(model: Model, seqs, margin: float) -> None:
+def _nudge_relu_safe(model: Model, batch, margin: float) -> None:
     """Shift biases so no relu preactivation sits within `margin` of its kink.
 
     b1[j] enters every FFN preactivation of unit j additively, and (for the
@@ -171,19 +172,20 @@ def _nudge_relu_safe(model: Model, seqs, margin: float) -> None:
     adjustments are exact up to rounding, so a couple of passes converge.
     """
     for _ in range(10):
-        pre, _ = _relu_inputs(model, seqs)
+        pre, _ = _relu_inputs(model, batch)
         model.enc.b1.value += [_min_shift(col, margin) for col in pre.T]
         if model.head.mode == "add":
-            _, fused = _relu_inputs(model, seqs)
+            _, fused = _relu_inputs(model, batch)
             model.enc.b2.value += [_min_shift(col, margin) / 2.0 for col in fused.T]
-        if min(float(np.abs(a).min()) for a in _relu_inputs(model, seqs)
+        if min(float(np.abs(a).min()) for a in _relu_inputs(model, batch)
                if a is not None) > 0.9 * margin:
             return
     raise VerificationError("could not move relu preactivations away from their kinks")
 
 
 def _synthetic_instance(mode: str, dim: int, max_len: int, vocab_size: int):
-    """Tiny corpus whose vocabulary has exactly `vocab_size` entries.
+    """Tiny corpus whose vocabulary has exactly `vocab_size` entries; returns
+    (model, the 3-example batch, its pack_batch pack, targets).
 
     Label names are drawn from the corpus words so verbalization adds no new
     tokens. Biases are nudged so every relu preactivation clears RELU_MARGIN.
@@ -207,26 +209,27 @@ def _synthetic_instance(mode: str, dim: int, max_len: int, vocab_size: int):
                                 f"wanted {vocab_size}")
     seqs, targets = _tokenize_dataset(model, dataset)
     seqs, targets = [seqs[i] for i in (0, -2, -1)], [targets[i] for i in (0, -2, -1)]
-    _nudge_relu_safe(model, seqs, RELU_MARGIN)
-    return model, seqs, targets
+    batch = pack_batch(model, seqs)
+    _nudge_relu_safe(model, batch, RELU_MARGIN)
+    return model, seqs, batch, targets
 
 
-def batch_loss(model: Model, seqs, targets) -> float:
-    """Mean cross-entropy of the batch, forward pass only."""
-    logits, _ = forward(model, seqs)
+def batch_loss(model: Model, batch, targets) -> float:
+    """Mean cross-entropy of a pack_batch pack, forward pass only."""
+    logits, _ = forward(model, batch)
     losses, _ = nncore.cross_entropy(logits, np.asarray(targets))
     return float(losses.mean())
 
 
 def check_full_model(mode: str, dim: int = 8, max_len: int = 6,
                      vocab_size: int = 50) -> GradCheckReport:
-    model, seqs, targets = _synthetic_instance(mode, dim, max_len, vocab_size)
+    model, seqs, batch, targets = _synthetic_instance(mode, dim, max_len, vocab_size)
     batch_step(model, seqs, targets)  # fills grads with the mean batch gradient
     # eps an order larger than for single layers: cancellation can leave true
     # zeros among these gradients, and the difference-quotient noise floor
     # ulp(f)/(2 eps) must stay well under threshold * 1e-8.
     return finite_diff_check(f"full_model_{mode}",
-                             lambda: batch_loss(model, seqs, targets),
+                             lambda: batch_loss(model, batch, targets),
                              model.parameters(), eps=1e-4)
 
 

@@ -112,6 +112,8 @@ class Segments:
     starts: np.ndarray
     positions: np.ndarray
     runs: tuple[tuple[int, int, int], ...]
+    row_len: np.ndarray   # packed row r's attention softmax row has row_len[r]
+    row_end: np.ndarray   # entries and ends at row_end[r] in the flat scores
 
 
 def segments(lengths) -> Segments:
@@ -125,7 +127,9 @@ def segments(lengths) -> Segments:
     first = np.flatnonzero(np.concatenate(([True], lengths[1:] != lengths[:-1])))
     counts = np.diff(np.append(first, lengths.size))
     runs = tuple(zip(starts[first].tolist(), counts.tolist(), lengths[first].tolist()))
-    return Segments(lengths=lengths, starts=starts, positions=positions, runs=runs)
+    row_len = np.repeat(lengths, lengths)
+    return Segments(lengths=lengths, starts=starts, positions=positions, runs=runs,
+                    row_len=row_len, row_end=np.cumsum(row_len))
 
 
 def weight_grad(x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -183,7 +187,6 @@ class AttnCache:
     k: np.ndarray
     v: np.ndarray
     weights: np.ndarray    # every run's (count, length, length) row softmaxes, flat
-    row_len: np.ndarray    # packed row r's softmax row has row_len[r] entries
     scale: float
     wq: ParamTensor
     wk: ParamTensor
@@ -224,9 +227,7 @@ def attention_forward(x: np.ndarray, segs: Segments,
     q = x @ wq.value
     k = x @ wk.value
     v = x @ wv.value
-    row_len = np.repeat(segs.lengths, segs.lengths)
-    row_end = np.cumsum(row_len)
-    w = np.empty(int(row_end[-1]), dtype=q.dtype)
+    w = np.empty(int(segs.row_end[-1]), dtype=q.dtype)
     blocks = _square_blocks(w, segs)
     for (lo, count, length), block in zip(segs.runs, blocks):
         hi = lo + count * length
@@ -234,16 +235,16 @@ def attention_forward(x: np.ndarray, segs: Segments,
         np.matmul(q[lo:hi].reshape(shape), k[lo:hi].reshape(shape).transpose(0, 2, 1),
                   out=block)
     w *= scale
-    w -= np.repeat(np.maximum.reduceat(w, row_end - row_len), row_len)
+    w -= np.repeat(np.maximum.reduceat(w, segs.row_end - segs.row_len), segs.row_len)
     np.exp(w, out=w)
-    w /= np.repeat(_row_sums(blocks, segs), row_len)
+    w /= np.repeat(_row_sums(blocks, segs), segs.row_len)
     out = np.empty_like(v)
     for (lo, count, length), block in zip(segs.runs, blocks):
         hi = lo + count * length
         shape = (count, length, d)
         np.matmul(block, v[lo:hi].reshape(shape), out=out[lo:hi].reshape(shape))
-    return out, AttnCache(segs=segs, x=x, q=q, k=k, v=v, weights=w, row_len=row_len,
-                          scale=scale, wq=wq, wk=wk, wv=wv)
+    return out, AttnCache(segs=segs, x=x, q=q, k=k, v=v, weights=w, scale=scale,
+                          wq=wq, wk=wk, wv=wv)
 
 
 def attention_backward(d_out: np.ndarray, cache: AttnCache) -> np.ndarray:
@@ -260,7 +261,7 @@ def attention_backward(d_out: np.ndarray, cache: AttnCache) -> np.ndarray:
         d_o = d_out[lo:hi].reshape(shape)
         np.matmul(w_block.transpose(0, 2, 1), d_o, out=d_v[lo:hi].reshape(shape))
         np.matmul(d_o, cache.v[lo:hi].reshape(shape).transpose(0, 2, 1), out=d_block)
-    d_w -= np.repeat(_row_sums(_square_blocks(d_w * w, segs), segs), cache.row_len)
+    d_w -= np.repeat(_row_sums(_square_blocks(d_w * w, segs), segs), segs.row_len)
     d_w *= w
     d_w *= cache.scale
     for (lo, count, length), d_block in zip(segs.runs, d_blocks):

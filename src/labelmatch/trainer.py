@@ -50,8 +50,8 @@ import numpy as np
 
 from .corpus import (Dataset, TokenSeq, Vocabulary, build_vocab, tokenize_texts,
                      verbalize_label, vocab_fingerprint)
-from .encoder import (EncoderParams, LabelSet, encode_batch_backward,
-                      encode_batch_forward, encode_labels_forward)
+from .encoder import (EncoderParams, LabelSet, Pack, encode_batch_backward,
+                      encode_batch_forward, encode_labels_forward, pack)
 from .errors import CheckpointError, DataError, TrainingError
 from .fusion import (FUSION_MODES, FusionHead, head_template, score_backward,
                      score_forward, uses_labels)
@@ -201,7 +201,7 @@ class Model:
         return list(self.enc.emb.store.params)
 
     def predict_logits(self, seq: TokenSeq) -> np.ndarray:
-        return forward(self, [seq])[0][0]
+        return forward(self, pack_batch(self, [seq]))[0][0]
 
 
 # --- initialization ----------------------------------------------------------------
@@ -365,13 +365,17 @@ def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
 
 # --- training --------------------------------------------------------------------
 
-def forward(model: Model, seqs: list[TokenSeq]):
-    """Logits (len(seqs) x K) from one packed encoder pass over the texts
-    and, when the head consults labels, the K label phrases."""
-    n = len(seqs)
-    phrases = list(model.labels.token_seqs) if uses_labels(model.head.mode) else []
-    vecs, encode_cache = encode_batch_forward(list(seqs) + phrases, model.enc)
-    logits, score_cache = score_forward(vecs[:n], vecs[n:] if phrases else None, model.head)
+def pack_batch(model: Model, seqs: list[TokenSeq]) -> Pack:
+    """The pack `forward` reads: the texts, then the label phrases if the head reads them."""
+    return pack([*seqs, *(model.labels.token_seqs if uses_labels(model.head.mode) else ())])
+
+
+def forward(model: Model, batch: Pack):
+    """Logits (texts x K) from one encoder pass over a pack_batch pack."""
+    k = model.labels.num_classes if uses_labels(model.head.mode) else 0
+    vecs, encode_cache = encode_batch_forward(batch, model.enc)
+    n = len(vecs) - k
+    logits, score_cache = score_forward(vecs[:n], vecs[n:] if k else None, model.head)
     return logits, (encode_cache, score_cache)
 
 
@@ -380,7 +384,7 @@ def batch_step(model: Model, seqs: list[TokenSeq], targets: list[int]) -> list[f
 
     Returns the per-example losses. Does not run the optimizer.
     """
-    logits, (encode_cache, score_cache) = forward(model, seqs)
+    logits, (encode_cache, score_cache) = forward(model, pack_batch(model, seqs))
     losses, d_logits = cross_entropy(logits, np.asarray(targets))
     d_logits *= 1.0 / len(seqs)
     d_t, d_labels = score_backward(d_logits, score_cache)
@@ -421,7 +425,7 @@ def evaluate_seqs(model: Model, seqs: list[TokenSeq], targets: list[int]) -> Eva
         start = ends[lo] - lengths[order[lo]]
         hi = max(lo + 1, int(np.searchsorted(ends, start + EVAL_ROWS, side="right")))
         chunk = order[lo:hi]
-        vecs, _ = encode_batch_forward([seqs[i] for i in chunk], model.enc)
+        vecs, _ = encode_batch_forward(pack([seqs[i] for i in chunk]), model.enc)
         logits, _ = score_forward(vecs, matrix, model.head)
         preds[chunk] = logits.argmax(axis=1)
         lo = hi
@@ -586,7 +590,7 @@ def load_checkpoint(path, vocab: Vocabulary, label_names: tuple[str, ...],
 
     The caller supplies the vocabulary (rebuilt from the training data the
     run manifest points at); its fingerprint must match the stored one.
-    Each parameter's payload is read straight into its slice of the store.
+    Each parameter's payload is read straight into its store slice and must be finite.
     """
     with open(path, "rb") as f:
         config, fingerprint = _read_header(f, path)
@@ -614,6 +618,8 @@ def load_checkpoint(path, vocab: Vocabulary, label_names: tuple[str, ...],
                     f"expected {p.name}{list(p.shape)}")
             if f.readinto(p.value.reshape(-1).view(np.uint8)) != p.value.nbytes:
                 raise CheckpointError(f"{path}: truncated checkpoint")
+            if not np.isfinite(p.value).all():
+                raise CheckpointError(f"{path}: non-finite value in parameter {p.name!r}")
 
     labels = _label_set(label_names, vocab, config.max_len, verbalizer)
     enc, head = _assemble(store.params, config)

@@ -251,6 +251,15 @@ class TestCorruptedEvalInput:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_weight_is_refused(self, trained, capsys, value):
+        ckpt, test = trained
+        raw = bytearray(ckpt.read_bytes())
+        struct.pack_into("<f", raw, len(raw) - 4, value)  # the last parameter's last entry
+        ckpt.write_bytes(raw)
+        assert_clean_exit_two(capsys, "eval", "--checkpoint", ckpt, "--test", test,
+                              message="non-finite value in parameter 'head.")
+
     def test_huge_stored_min_freq_fails_fast(self, trained):
         # eval rebuilds the vocabulary with the header's min_freq before it
         # can compare fingerprints; 2**40 once meant 2**40 passes per phrase

@@ -4,7 +4,7 @@ import pytest
 import labelmatch.encoder
 import labelmatch.trainer
 from labelmatch.corpus import Example, TokenSeq, load_dataset, make_dataset, tokenize
-from labelmatch.encoder import LabelSet, encode, encode_batch_forward, encode_labels_forward
+from labelmatch.encoder import LabelSet, encode, encode_batch_forward, encode_labels_forward, pack
 from labelmatch.trainer import TrainConfig, batch_step, build_model
 
 
@@ -50,7 +50,7 @@ class TestEncode:
         texts = ["green bird flies high today", "red fish", "red bird sings",
                  "fish", "green fish sleeps", "red fish swims fast"]
         seqs = [tokenize(t, tiny_model.vocab, 8) for t in texts]
-        batched, _ = encode_batch_forward(seqs + list(tiny_model.labels.token_seqs),
+        batched, _ = encode_batch_forward(pack(seqs + list(tiny_model.labels.token_seqs)),
                                           tiny_model.enc)
         assert batched.dtype == np.float32
         for seq, vec in zip(seqs, batched):
@@ -111,15 +111,22 @@ class TestEncodeLabels:
 
 class TestParameterSharing:
     def test_text_and_label_encoders_alias_one_parameter_set(self, tiny_model, monkeypatch):
-        seen = []
-        original = labelmatch.encoder.encode_batch_forward
+        seen, packed = [], {}
+        original_pack = labelmatch.encoder.pack
+        original_forward = labelmatch.encoder.encode_batch_forward
 
-        def spy(seqs, params):
-            seen.append((id(params), [id(seq) for seq in seqs]))
-            return original(seqs, params)
+        def spy_pack(seqs):
+            batch = original_pack(seqs)
+            packed[id(batch)] = [id(seq) for seq in seqs]
+            return batch
 
-        monkeypatch.setattr(labelmatch.encoder, "encode_batch_forward", spy)
-        monkeypatch.setattr(labelmatch.trainer, "encode_batch_forward", spy)
+        def spy_forward(batch, params):
+            seen.append((id(params), packed[id(batch)]))
+            return original_forward(batch, params)
+
+        for module in (labelmatch.encoder, labelmatch.trainer):
+            monkeypatch.setattr(module, "pack", spy_pack)
+            monkeypatch.setattr(module, "encode_batch_forward", spy_forward)
         seqs = [tokenize("red fish swims", tiny_model.vocab, 8)]
         batch_step(tiny_model, seqs, [0])
         for p in tiny_model.parameters():

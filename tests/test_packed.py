@@ -1,10 +1,11 @@
 """The packed forward/backward against the per-example reference, packed
-attention against the per-run reference, and the dtype every activation and
-gradient keeps."""
+attention against the per-run reference, the dtype every activation and
+gradient keeps, and the reuse of one pack across passes."""
 
 import numpy as np
 import pytest
 
+import labelmatch.encoder
 import labelmatch.nncore
 import labelmatch.trainer
 import per_example_reference as reference
@@ -13,7 +14,7 @@ from labelmatch.encoder import encode, encode_batch_forward, encode_labels_forwa
 from labelmatch.nncore import attention_backward, attention_forward, segments
 from labelmatch.fusion import score_forward
 from labelmatch.trainer import (TrainConfig, adam_step, batch_step, build_model,
-                                evaluate_seqs, forward)
+                                evaluate_seqs, forward, pack_batch)
 
 EXAMPLES = [
     Example("flight_time", "what time does the first flight leave"),
@@ -70,7 +71,7 @@ class TestAgainstPerExampleReference:
                                for s in model.labels.token_seqs])
         ref_logits = np.stack([reference.score_forward(reference.encode_forward(s, v)[0],
                                                        labels, mode, v)[0] for s in seqs])
-        close(forward(model, seqs)[0], ref_logits)
+        close(forward(model, pack_batch(model, seqs))[0], ref_logits)
         # scoring the reference's predictions as gold: all correct iff all agree
         preds = reference.predict(model, seqs)
         result = evaluate_seqs(model, seqs, preds)
@@ -82,7 +83,7 @@ class TestAgainstPerExampleReference:
         real = labelmatch.trainer.encode_batch_forward
 
         def counted(chunk, enc):
-            chunks.append(len(chunk))
+            chunks.append(chunk.order.size)
             return real(chunk, enc)
 
         monkeypatch.setattr(labelmatch.trainer, "EVAL_ROWS", 8)
@@ -112,9 +113,10 @@ def attention_pack(pack, dtype, data_dir):
     texts = [ex.text for ex in train_set.examples[:32]]
     texts += [ex.text.split()[0] for ex in train_set.examples[32:35]]
     seqs = tokenize_texts(texts, model.vocab, model.config.max_len)
-    _, cache = encode_batch_forward(seqs + list(model.labels.token_seqs), model.enc)
+    batch = labelmatch.encoder.pack(seqs + list(model.labels.token_seqs))
+    _, cache = encode_batch_forward(batch, model.enc)
     enc = model.enc
-    return cache.attn_cache.x, cache.segs, enc.wq, enc.wk, enc.wv
+    return cache.attn_cache.x, cache.pack.segs, enc.wq, enc.wk, enc.wv
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -124,6 +126,9 @@ def test_attention_matches_per_run_reference_bitwise(pack, dtype, data_dir):
     runs = segs.runs
     assert any(length == 1 for _, _, length in runs)
     assert any(count > 1 and length >= 3 for _, count, length in runs)
+    row_len = np.repeat(segs.lengths, segs.lengths)
+    assert np.array_equal(segs.row_len, row_len)
+    assert np.array_equal(segs.row_end, np.cumsum(row_len))
     v = {p.name: p.value for p in (wq, wk, wv)}
     out, cache = attention_forward(x, segs, wq, wk, wv)
     ref_out, ref_weights = reference.attention_forward(x, segs, v)
@@ -179,3 +184,36 @@ def test_activations_and_gradients_keep_parameter_dtype(mode, dtype, monkeypatch
     assert len(called) == 11, called
     assert [entry for entry in seen if entry[1] != dtype] == []
     assert all(p.grad.dtype == dtype for p in model.parameters())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_pack_serves_every_pass(dtype, monkeypatch):
+    # gradcheck runs thousands of forwards over one pack: a pass that wrote
+    # into it would change every later pass
+    model = build_model(TrainConfig(fusion_mode="dot", dim=8, max_len=8, seed=2),
+                        make_dataset(EXAMPLES), dtype=dtype)
+    seqs = [tokenize(t, model.vocab, 8) for t in TEXTS]
+    batch = pack_batch(model, seqs)
+    segs = batch.segs
+    arrays = {"order": batch.order, "ids": batch.ids, "lengths": segs.lengths,
+              "starts": segs.starts, "positions": segs.positions,
+              "row_len": segs.row_len, "row_end": segs.row_end}
+    assert not any(a.flags.writeable for a in arrays.values())
+    before = {name: a.copy() for name, a in arrays.items()}
+
+    first, second = forward(model, batch)[0], forward(model, batch)[0]
+    fresh = forward(model, pack_batch(model, seqs))[0]
+    assert first.dtype == dtype
+    assert np.array_equal(bits(first), bits(fresh)) and np.array_equal(bits(second), bits(fresh))
+
+    reused = []
+
+    def reuse(_model, _seqs):
+        reused.append(batch)
+        return batch
+
+    monkeypatch.setattr(labelmatch.trainer, "pack_batch", reuse)
+    batch_step(model, seqs, [i % 3 for i in range(len(seqs))])
+    assert reused == [batch]
+    for name, a in arrays.items():
+        assert np.array_equal(a, before[name]), name

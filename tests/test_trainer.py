@@ -19,7 +19,7 @@ from labelmatch.corpus import (Example, build_vocab, load_dataset, make_dataset,
 from labelmatch.errors import CheckpointError, DataError, TrainingError
 from labelmatch.nncore import ParamStore, ParamTensor
 from labelmatch.trainer import (ADAM_BLOCK, Model, TrainConfig, adam_step, batch_step,
-                                build_model, evaluate, forward, init_params,
+                                build_model, evaluate, forward, init_params, pack_batch,
                                 load_checkpoint, save_checkpoint,
                                 shuffled_indices, train)
 
@@ -373,7 +373,7 @@ class TestPredictLogits:
         for t in range(1, 6):
             batch_step(model, seqs, targets)
             adam_step(model.parameters(), lr=1e-2, t=t)
-        expected, _ = forward(model, [seqs[0]])
+        expected, _ = forward(model, pack_batch(model, [seqs[0]]))
         assert np.array_equal(bits(model.predict_logits(seqs[0])), bits(expected[0]))
 
 
