@@ -4,7 +4,7 @@ training, and a finite-difference verification suite."""
 
 from .corpus import (Dataset, DatasetStats, Example, TokenSeq, Vocabulary,
                      build_vocab, dataset_stats, load_dataset, load_verbalizer,
-                     save_dataset, tokenize, verbalize_label, vocab_fingerprint)
+                     save_dataset, tokenize, verbalize_label)
 from .encoder import EncoderParams, LabelSet, encode
 from .errors import (CheckpointError, DataError, LabelMatchError,
                      TrainingError, VerificationError)

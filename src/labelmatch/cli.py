@@ -8,9 +8,10 @@ history CSV at PATH.history.csv (no header; one `epoch,train_loss,
 train_acc,test_acc` line per epoch), and a run manifest at
 PATH.manifest.json recording the config, dataset paths with sha256 content
 hashes, and timestamps. It checks that --out can be written before the
-first epoch, so a bad path exits 2 without training. cmd_eval rebuilds the
-vocabulary from the manifest's train dataset (override with --train) and
-refuses fingerprint mismatches.
+first epoch, so a bad path exits 2 without training. The manifest is a
+provenance record; nothing reads it. cmd_eval builds the model from the
+checkpoint alone, which holds the vocabulary, the labels and their phrases
+behind a sha256 trailer, and reads only the checkpoint and the test TSV.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ import argparse
 import errno
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -33,8 +32,7 @@ from .corpus import dataset_stats, load_dataset, load_verbalizer
 from .errors import DataError, LabelMatchError, VerificationError
 from .fusion import FUSION_MODES
 from .gradcheck import run_all
-from .trainer import (TrainConfig, evaluate, load_checkpoint, model_vocab,
-                      read_checkpoint_header, save_checkpoint, train)
+from .trainer import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
 
 CLI_BATCH_SIZES = (32, 64)  # the trainer takes any batch size >= 1
 ABLATION_ROWS = (("No", "No", "none"), ("Yes", "Add", "add"), ("Yes", "Dot Product", "dot"))
@@ -150,59 +148,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_manifest(path: Path) -> dict:
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path}: not a JSON object")
-    return manifest
-
-
-def _manifest_field(manifest: dict, key: str, path: Path) -> str:
-    value = manifest.get(key)
-    if not isinstance(value, str):
-        raise DataError(f"{path}: no {key!r} string in the manifest")
-    return value
-
-
-def _vocab_for_checkpoint(args, config: TrainConfig):
-    verbalizer = None
-    train_path = args.train
-    if train_path is None or args.verbalizer is None:
-        manifest_path = Path(f"{args.checkpoint}.manifest.json")
-        if not manifest_path.exists():
-            if train_path is None:
-                raise DataError(f"no manifest at {manifest_path}; pass --train explicitly")
-            manifest = None
-        else:
-            manifest = _read_manifest(manifest_path)
-            if train_path is None:
-                train_path = _manifest_field(manifest, "train_path", manifest_path)
-                if _sha256(train_path) != _manifest_field(manifest, "train_sha256", manifest_path):
-                    raise DataError(f"{train_path}: content hash differs from the manifest")
-            if args.verbalizer is None and manifest.get("verbalizer_path"):
-                vpath = _manifest_field(manifest, "verbalizer_path", manifest_path)
-                if _sha256(vpath) != _manifest_field(manifest, "verbalizer_sha256", manifest_path):
-                    raise DataError(f"{vpath}: content hash differs from the manifest")
-                verbalizer = load_verbalizer(vpath)
-    if args.verbalizer is not None:
-        verbalizer = load_verbalizer(args.verbalizer)
-
-    train_set = load_dataset(train_path, split="train")
-    vocab = model_vocab(train_set, config.min_freq, verbalizer)
-    return vocab, train_set.label_names, verbalizer
-
-
 def cmd_eval(args) -> int:
-    config, _ = read_checkpoint_header(args.checkpoint)
-    vocab, label_names, verbalizer = _vocab_for_checkpoint(args, config)
-    model = load_checkpoint(args.checkpoint, vocab, label_names, verbalizer)
+    model = load_checkpoint(args.checkpoint)
     test_set = load_dataset(args.test, split="test")
     result = evaluate(model, test_set)
     print(f"accuracy {result.accuracy_pct:.1f} ({result.correct}/{result.total})")
-    for name in label_names:
+    for name in model.labels.label_names:
         gold, correct = result.per_class.get(name, (0, 0))
         if gold:
             print(f"  {name}: {correct}/{gold}")
@@ -239,6 +190,10 @@ def run_ablation(args):
     repeated = sorted({s for s in args.seeds if args.seeds.count(s) > 1})
     if repeated:
         raise DataError(f"--seeds repeats {', '.join(map(str, repeated))}; give each seed once")
+    # the pool is imported here: no other command needs it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     jobs = [(_config_from_args(args, fusion_mode=mode, seed=seed),
              args.train, args.test, args.verbalizer)
             for _, _, mode in ABLATION_ROWS for seed in args.seeds]
@@ -337,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--train", default=None,
-                   help="train TSV for vocabulary rebuild (default: from the manifest)")
-    p.add_argument("--verbalizer", default=None)
+                   help="ignored: the checkpoint holds the vocabulary (to be removed, "
+                        "see ROADMAP item 1)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablation", help="train all three fusion modes over several seeds")

@@ -50,6 +50,11 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
+    @classmethod
+    def from_tokens(cls, tokens: tuple[str, ...]) -> Vocabulary:
+        """The vocabulary whose ids are the positions in `tokens`."""
+        return cls(tokens=tokens, id_of=dict(zip(tokens, range(len(tokens)))))
+
 
 @dataclass(frozen=True)
 class TokenSeq:
@@ -135,9 +140,11 @@ def build_vocab(dataset: Dataset, min_freq: int = 1,
         for token in _tokens(text):
             counts[token] += min_freq
     kept = [t for t, c in counts.items() if c >= min_freq and t not in (PAD_TOKEN, UNK_TOKEN)]
+    if "\0" in "".join(kept):   # a checkpoint stores the tokens NUL-joined
+        bad = next(t for t in kept if "\0" in t)
+        raise DataError(f"token {bad!r} contains NUL, which a checkpoint cannot store")
     kept.sort(key=lambda t: (-counts[t], t))
-    tokens = (PAD_TOKEN, UNK_TOKEN, *kept)
-    return Vocabulary(tokens=tokens, id_of={t: i for i, t in enumerate(tokens)})
+    return Vocabulary.from_tokens((PAD_TOKEN, UNK_TOKEN, *kept))
 
 
 def tokenize_texts(texts: list[str], vocab: Vocabulary, max_len: int) -> list[TokenSeq]:
@@ -198,11 +205,3 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
         avg_token_len=round(sum(lengths) / len(lengths), 2),
     )
 
-
-def vocab_fingerprint(vocab: Vocabulary) -> int:
-    """64-bit FNV-1a hash of the ordered token list (NUL-separated)."""
-    h = 0xCBF29CE484222325
-    for b in "\x00".join(vocab.tokens).encode("utf-8"):
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h

@@ -40,17 +40,18 @@ class EncoderParams:
 
 @dataclass
 class LabelSet:
-    """Verbalized, tokenized class labels.
+    """Class labels, their verbalized phrases and the phrases' tokens.
 
     No label matrix is kept: every forward pass encodes the phrases again
     with the current encoder, so label vectors never lag behind training.
     """
 
     label_names: tuple[str, ...]
+    phrases: tuple[str, ...]
     token_seqs: tuple[TokenSeq, ...]
 
     def __post_init__(self):
-        assert len(self.label_names) == len(self.token_seqs)
+        assert len(self.label_names) == len(self.phrases) == len(self.token_seqs)
 
     @property
     def num_classes(self) -> int:

@@ -47,9 +47,11 @@ class ParamStore:
                  value: np.ndarray | None = None):
         size = sum(math.prod(shape) for _, shape in shapes)
         self.value = np.zeros(size, dtype=dtype) if value is None else value
-        self.grad = np.zeros_like(self.value)
-        self.adam_m = np.zeros_like(self.value)
-        self.adam_v = np.zeros_like(self.value)
+        # np.zeros takes calloc'd memory, whose fresh pages stay unmapped until
+        # written; np.zeros_like writes every page (a model that is only
+        # evaluated never writes its gradient or moments)
+        self.grad, self.adam_m, self.adam_v = (
+            np.zeros(self.value.shape, self.value.dtype) for _ in range(3))
         self.params: list[ParamTensor] = []
         lo = 0
         for name, shape in shapes:

@@ -27,19 +27,26 @@ element sees a per-tensor update's operations in the same order.
 
 Checkpoint file layout (little-endian throughout):
 
-    bytes  0-4   magic "LBLM1"
+    bytes  0-4   magic "LBLM2"
     u64 batch_size, u64 epochs, u64 seed, u64 dim, u64 max_len, u64 min_freq
     f64 learning_rate
     str fusion_mode            (str = u64 byte length + UTF-8 bytes)
-    u64 vocab_fingerprint      (FNV-1a over the NUL-joined token list)
+    u64 token count, str the tokens in id order, joined by NUL
+    u64 label count K, then K x (str label name, str verbalized phrase)
     u64 parameter count
     per parameter, declaration order:
         str name, u64 ndim, u64 per dimension, raw float32 data (C order)
+    32 bytes sha256 of every byte before it
+
+A checkpoint holds everything evaluation needs: the vocabulary, the labels
+and their phrases. build_vocab refuses a token containing NUL, so the
+NUL-joined token list always splits back into the same tokens.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import math
 import os
 import struct
@@ -48,8 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (Dataset, TokenSeq, Vocabulary, build_vocab, tokenize_texts,
-                     verbalize_label, vocab_fingerprint)
+from .corpus import (PAD_TOKEN, UNK_TOKEN, Dataset, TokenSeq, Vocabulary, build_vocab,
+                     tokenize_texts, verbalize_label)
 from .encoder import (EncoderParams, LabelSet, Pack, encode_batch_backward,
                       encode_batch_forward, encode_labels_forward, pack)
 from .errors import CheckpointError, DataError, TrainingError
@@ -59,7 +66,8 @@ from .nncore import ParamStore, ParamTensor, cross_entropy
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
-CHECKPOINT_MAGIC = b"LBLM1"
+CHECKPOINT_MAGIC = b"LBLM2"
+CHECKSUM_BYTES = 32   # the sha256 trailer
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -258,28 +266,24 @@ def init_params(config: TrainConfig, vocab_size: int, num_classes: int,
     return _assemble(store.params, config)
 
 
-def model_vocab(train_set: Dataset, min_freq: int,
-                verbalizer: dict[str, str] | None = None) -> Vocabulary:
-    """The train tokens plus every verbalized label phrase, which always
-    survives min_freq; a checkpoint's fingerprint is taken over this."""
-    phrases = [verbalize_label(name, verbalizer) for name in train_set.label_names]
-    return build_vocab(train_set, min_freq, extra_texts=phrases)
-
-
-def _label_set(label_names: tuple[str, ...], vocab: Vocabulary, max_len: int,
-               verbalizer: dict[str, str] | None = None) -> LabelSet:
-    """The verbalized phrase of every label, tokenized with `vocab`."""
-    seqs = tuple(tokenize_texts([verbalize_label(name, verbalizer) for name in label_names],
-                                vocab, max_len))
-    return LabelSet(label_names=tuple(label_names), token_seqs=seqs)
+def _label_set(label_names: tuple[str, ...], phrases: tuple[str, ...], vocab: Vocabulary,
+               max_len: int) -> LabelSet:
+    """The labels with their verbalized phrases, tokenized with `vocab`."""
+    return LabelSet(label_names=label_names, phrases=phrases,
+                    token_seqs=tuple(tokenize_texts(list(phrases), vocab, max_len)))
 
 
 def build_model(config: TrainConfig, train_set: Dataset,
                 verbalizer: dict[str, str] | None = None,
                 dtype=np.float32) -> Model:
-    """Vocabulary, verbalized label set, and freshly initialized parameters."""
-    vocab = model_vocab(train_set, config.min_freq, verbalizer)
-    labels = _label_set(train_set.label_names, vocab, config.max_len, verbalizer)
+    """Vocabulary, verbalized label set, and freshly initialized parameters.
+
+    The vocabulary holds the train tokens plus every token of the verbalized
+    label phrases, which always survive min_freq.
+    """
+    phrases = tuple(verbalize_label(name, verbalizer) for name in train_set.label_names)
+    vocab = build_vocab(train_set, config.min_freq, extra_texts=phrases)
+    labels = _label_set(train_set.label_names, phrases, vocab, config.max_len)
     enc, head = init_params(config, len(vocab), labels.num_classes, dtype=dtype)
     return Model(config=config, vocab=vocab, labels=labels, enc=enc, head=head)
 
@@ -496,6 +500,17 @@ def train(config: TrainConfig, train_set: Dataset, eval_set: Dataset,
 
 # --- checkpoints ------------------------------------------------------------------
 
+class _Sha256Writer:
+    """A binary file that hashes every byte written through it."""
+
+    def __init__(self, f):
+        self.f, self.sha256 = f, hashlib.sha256()
+
+    def write(self, raw) -> None:
+        self.sha256.update(raw)
+        self.f.write(raw)
+
+
 def _write_u64(f, x: int) -> None:
     f.write(struct.pack("<Q", x & MASK64))
 
@@ -504,29 +519,6 @@ def _write_str(f, s: str) -> None:
     raw = s.encode("utf-8")
     _write_u64(f, len(raw))
     f.write(raw)
-
-
-def _bytes_left(f) -> int:
-    return os.fstat(f.fileno()).st_size - f.tell()
-
-
-def _read_exact(f, n: int) -> bytes:
-    """n bytes from f; a length past the end of the file is refused unread."""
-    if n > _bytes_left(f):
-        raise CheckpointError("truncated checkpoint")
-    return f.read(n)
-
-
-def _read_u64(f) -> int:
-    return struct.unpack("<Q", _read_exact(f, 8))[0]
-
-
-def _read_str(f) -> str:
-    raw = _read_exact(f, _read_u64(f))
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"checkpoint string is not UTF-8: {exc}") from None
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -538,7 +530,9 @@ def save_checkpoint(model: Model, path) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as f:
-            _write_checkpoint(f, model)
+            body = _Sha256Writer(f)
+            _write_checkpoint(body, model)
+            f.write(body.sha256.digest())
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -554,7 +548,12 @@ def _write_checkpoint(f, model: Model) -> None:
         _write_u64(f, x)
     f.write(struct.pack("<d", cfg.learning_rate))
     _write_str(f, cfg.fusion_mode)
-    _write_u64(f, vocab_fingerprint(model.vocab))
+    _write_u64(f, len(model.vocab))
+    _write_str(f, "\0".join(model.vocab.tokens))
+    _write_u64(f, model.labels.num_classes)
+    for name, phrase in zip(model.labels.label_names, model.labels.phrases):
+        _write_str(f, name)
+        _write_str(f, phrase)
     params = model.parameters()
     _write_u64(f, len(params))
     for p in params:
@@ -565,62 +564,105 @@ def _write_checkpoint(f, model: Model) -> None:
         f.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
 
 
-def _read_header(f, path) -> tuple[TrainConfig, int]:
-    if _read_exact(f, len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+class _Reader:
+    """Bounds-checked reads from a checkpoint's bytes in memory."""
+
+    def __init__(self, data: memoryview, path):
+        self.data, self.at, self.path = data, 0, path
+
+    def left(self) -> int:
+        return len(self.data) - self.at
+
+    def take(self, n: int) -> memoryview:
+        """The next n bytes; a length past the end of the data is refused unread."""
+        if n > self.left():
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.at += n
+        return self.data[self.at - n:self.at]
+
+    def u64(self) -> int:
+        return int.from_bytes(self.take(8), "little")
+
+    def text(self) -> str:
+        raw = self.take(self.u64())
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: checkpoint string is not UTF-8: {exc}") from None
+
+
+def _verified_body(path) -> memoryview:
+    """The checkpoint's bytes before its sha256 trailer, once the trailer matches."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if len(data) < len(CHECKPOINT_MAGIC) + CHECKSUM_BYTES:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    if not data.startswith(CHECKPOINT_MAGIC):
+        if data.startswith(b"LBLM1"):
+            raise CheckpointError(f"{path}: an LBLM1 checkpoint, an older format that stores "
+                                  "no vocabulary; retrain to write LBLM2")
         raise CheckpointError(f"{path}: bad magic")
-    batch_size, epochs, seed, dim, max_len, min_freq = (_read_u64(f) for _ in range(6))
-    lr = struct.unpack("<d", _read_exact(f, 8))[0]
-    fusion_mode = _read_str(f)
-    fingerprint = _read_u64(f)
-    config = TrainConfig(batch_size=batch_size, epochs=epochs, learning_rate=lr,
-                         seed=seed, fusion_mode=fusion_mode, dim=dim,
-                         max_len=max_len, min_freq=min_freq)
-    return config, fingerprint
+    body = memoryview(data)[:-CHECKSUM_BYTES]
+    if hashlib.sha256(body).digest() != data[-CHECKSUM_BYTES:]:
+        raise CheckpointError(f"{path}: checksum mismatch: the file is corrupted or truncated")
+    return body
 
 
-def read_checkpoint_header(path) -> tuple[TrainConfig, int]:
-    """Returns (config, vocab fingerprint) without loading parameters."""
-    with open(path, "rb") as f:
-        return _read_header(f, path)
+def load_checkpoint(path, vocab: Vocabulary | None = None,
+                    label_names: tuple[str, ...] | None = None) -> Model:
+    """Rebuild a Model from `path` alone; bit-exact inverse of save_checkpoint.
 
-
-def load_checkpoint(path, vocab: Vocabulary, label_names: tuple[str, ...],
-                    verbalizer: dict[str, str] | None = None) -> Model:
-    """Rebuild a Model from `path`; bit-exact inverse of save_checkpoint.
-
-    The caller supplies the vocabulary (rebuilt from the training data the
-    run manifest points at); its fingerprint must match the stored one.
-    Each parameter's payload is read straight into its store slice and must be finite.
+    The file is read once and its sha256 trailer checked before anything is
+    parsed. `vocab` and `label_names`, when given, must equal the stored
+    ones. The tokens must be unique and start with <pad>, <unk>; every
+    parameter's name and shape must match _param_template, and its values
+    must be finite.
     """
-    with open(path, "rb") as f:
-        config, fingerprint = _read_header(f, path)
-        if fingerprint != vocab_fingerprint(vocab):
-            raise CheckpointError(f"{path}: vocab fingerprint mismatch")
-        shapes = [(name, shape) for name, shape, _ in
-                  _param_template(config, len(vocab), len(label_names))]
-        count = _read_u64(f)
-        if count != len(shapes):
-            raise CheckpointError(f"{path}: shape mismatch: {count} parameters stored, "
-                                  f"{len(shapes)} expected")
-        needed = 4 * sum(math.prod(shape) for _, shape in shapes)
-        if needed > _bytes_left(f):
-            raise CheckpointError(f"{path}: truncated checkpoint or shape mismatch: "
-                                  f"{needed} parameter bytes expected, "
-                                  f"{_bytes_left(f)} left in the file")
-        store = ParamStore(shapes, dtype=np.dtype("<f4"))
-        for p in store.params:
-            stored_name = _read_str(f)
-            ndim = _read_u64(f)
-            stored_shape = tuple(_read_u64(f) for _ in range(ndim))
-            if stored_name != p.name or stored_shape != p.shape:
-                raise CheckpointError(
-                    f"{path}: shape mismatch: stored {stored_name}{list(stored_shape)}, "
-                    f"expected {p.name}{list(p.shape)}")
-            if f.readinto(p.value.reshape(-1).view(np.uint8)) != p.value.nbytes:
-                raise CheckpointError(f"{path}: truncated checkpoint")
-            if not np.isfinite(p.value).all():
-                raise CheckpointError(f"{path}: non-finite value in parameter {p.name!r}")
+    r = _Reader(_verified_body(path), path)
+    r.take(len(CHECKPOINT_MAGIC))
+    batch_size, epochs, seed, dim, max_len, min_freq = (r.u64() for _ in range(6))
+    lr = struct.unpack("<d", r.take(8))[0]
+    config = TrainConfig(batch_size=batch_size, epochs=epochs, learning_rate=lr, seed=seed,
+                         fusion_mode=r.text(), dim=dim, max_len=max_len, min_freq=min_freq)
 
-    labels = _label_set(label_names, vocab, config.max_len, verbalizer)
+    n_tokens = r.u64()
+    stored_vocab = Vocabulary.from_tokens(tuple(r.text().split("\0")))
+    if not len(stored_vocab.tokens) == len(stored_vocab.id_of) == n_tokens \
+            or stored_vocab.tokens[:2] != (PAD_TOKEN, UNK_TOKEN):
+        raise CheckpointError(f"{path}: the token list is not {n_tokens} unique tokens "
+                              f"starting with {PAD_TOKEN}, {UNK_TOKEN}")
+    if vocab is not None and tuple(vocab.tokens) != stored_vocab.tokens:
+        raise CheckpointError(f"{path}: the given vocabulary differs from the stored one")
+    k = r.u64()
+    pairs = [(r.text(), r.text()) for _ in range(k)]   # >= 16 bytes each: no runaway k
+    names, phrases = tuple(n for n, _ in pairs), tuple(p for _, p in pairs)
+    if label_names is not None and tuple(label_names) != names:
+        raise CheckpointError(f"{path}: label names {list(label_names)} differ from "
+                              f"the stored {list(names)}")
+
+    shapes = [(name, shape) for name, shape, _ in
+              _param_template(config, len(stored_vocab), k)]
+    count = r.u64()
+    if count != len(shapes):
+        raise CheckpointError(f"{path}: shape mismatch: {count} parameters stored, "
+                              f"{len(shapes)} expected")
+    needed = 4 * sum(math.prod(shape) for _, shape in shapes)
+    if needed > r.left():
+        raise CheckpointError(f"{path}: truncated checkpoint or shape mismatch: "
+                              f"{needed} parameter bytes expected, {r.left()} left")
+    store = ParamStore(shapes, dtype=np.dtype("<f4"))
+    for p in store.params:
+        stored_name = r.text()
+        ndim = r.u64()
+        stored_shape = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
+        if stored_name != p.name or stored_shape != p.shape:
+            raise CheckpointError(
+                f"{path}: shape mismatch: stored {stored_name}{list(stored_shape)}, "
+                f"expected {p.name}{list(p.shape)}")
+        p.value.reshape(-1)[...] = np.frombuffer(r.take(p.value.nbytes), dtype="<f4")
+        if not np.isfinite(p.value).all():
+            raise CheckpointError(f"{path}: non-finite value in parameter {p.name!r}")
+
+    labels = _label_set(names, phrases, stored_vocab, config.max_len)
     enc, head = _assemble(store.params, config)
-    return Model(config=config, vocab=vocab, labels=labels, enc=enc, head=head)
+    return Model(config=config, vocab=stored_vocab, labels=labels, enc=enc, head=head)

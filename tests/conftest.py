@@ -1,7 +1,10 @@
+import hashlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from labelmatch.trainer import CHECKSUM_BYTES
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -44,6 +47,17 @@ def tiny_tsv(tmp_path):
         path.write_text("".join(f"{lab}\t{txt}\n" for lab, txt in rows), encoding="utf-8")
         return path
     return write
+
+
+def checkpoint_body(path) -> bytearray:
+    """A checkpoint's bytes without its sha256 trailer, for editing."""
+    return bytearray(Path(path).read_bytes()[:-CHECKSUM_BYTES])
+
+
+def write_sealed(path, body) -> None:
+    """Write `body` and a matching sha256 trailer, so that an edit gets past
+    the checksum to the checks behind it."""
+    Path(path).write_bytes(bytes(body) + hashlib.sha256(body).digest())
 
 
 def record_acceptance(name: str, passed: bool, detail: str = "") -> None:

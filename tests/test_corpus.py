@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from labelmatch.corpus import (PAD_ID, UNK_ID, Example, build_vocab,
                                dataset_stats, load_dataset, load_verbalizer,
                                make_dataset, save_dataset, tokenize, tokenize_texts,
-                               verbalize_label, vocab_fingerprint)
+                               verbalize_label)
 from labelmatch.errors import DataError
 
 
@@ -86,7 +86,6 @@ class TestBuildVocab:
         a = build_vocab(load_dataset(trec6_test_path, split="test"))
         b = build_vocab(load_dataset(trec6_test_path, split="test"))
         assert a.tokens == b.tokens
-        assert vocab_fingerprint(a) == vocab_fingerprint(b)
 
     def test_pure_function_of_token_multiset(self):
         examples = [Example("X", "red green"), Example("Y", "blue red"), Example("X", "green red")]
@@ -105,9 +104,18 @@ class TestBuildVocab:
         vocab = build_vocab(ds, min_freq=3, extra_texts=["rare phrase"])
         assert "rare" in vocab.id_of and "phrase" in vocab.id_of
 
+    def test_token_with_nul_is_refused(self):
+        # str.split() keeps NUL inside a token, and a checkpoint stores the
+        # tokens NUL-joined, so such a token could not be read back
+        ds = make_dataset([Example("X", "a b\x00c")])
+        with pytest.raises(DataError, match="contains NUL"):
+            build_vocab(ds)
+        with pytest.raises(DataError, match="contains NUL"):
+            build_vocab(make_dataset([Example("X", "a")]), extra_texts=["x\x00"])
+
     def test_huge_min_freq_is_not_a_loop(self):
-        # a checkpoint header supplies min_freq; phrases were once counted
-        # min_freq times each, one Counter.update per count
+        # phrases were once counted min_freq times each, one Counter.update
+        # per count
         ds = make_dataset([Example("X", "w w w")])
         started = time.monotonic()
         vocab = build_vocab(ds, min_freq=10**9, extra_texts=["rare phrase", "rare"])

@@ -90,7 +90,8 @@ class TestEncodeLabels:
 
     def test_same_phrase_gives_identical_rows(self, tiny_model):
         seq = tokenize("red fish", tiny_model.vocab, 8)
-        labels = LabelSet(label_names=("a", "b"), token_seqs=(seq, seq))
+        labels = LabelSet(label_names=("a", "b"), phrases=("red fish", "red fish"),
+                          token_seqs=(seq, seq))
         matrix = encode_labels_forward(labels, tiny_model.enc)[0]
         np.testing.assert_array_equal(matrix[0], matrix[1])
 
@@ -99,7 +100,8 @@ class TestEncodeLabels:
         # must leave label 0's encoding untouched
         seq_a = tokenize("red", tiny_model.vocab, 8)
         seq_b = tokenize("green", tiny_model.vocab, 8)
-        labels = LabelSet(label_names=("a", "b"), token_seqs=(seq_a, seq_b))
+        labels = LabelSet(label_names=("a", "b"), phrases=("red", "green"),
+                          token_seqs=(seq_a, seq_b))
         before = encode_labels_forward(labels, tiny_model.enc)[0]
         green_id = tiny_model.vocab.id_of["green"]
         tiny_model.enc.emb.value[green_id, 0] += 0.125

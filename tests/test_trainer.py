@@ -3,6 +3,7 @@ import errno
 import math
 import os
 import platform
+import struct
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import labelmatch.trainer
+from conftest import checkpoint_body, write_sealed
 import per_example_reference as reference
 from labelmatch.corpus import (Example, build_vocab, load_dataset, make_dataset,
                                tokenize, verbalize_label)
@@ -430,18 +432,31 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.predict_logits(seq),
                                       loaded.predict_logits(seq))
 
+    def test_needs_nothing_but_the_file(self, toy_sets, tmp_path):
+        train_set, _ = toy_sets
+        verbalizer = {"color": "a colour"}
+        model = build_model(TrainConfig(fusion_mode="dot", dim=8), train_set, verbalizer)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert loaded.vocab == model.vocab
+        assert loaded.labels.label_names == model.labels.label_names
+        assert loaded.labels.phrases == ("animal", "a colour")
+        for a, b in zip(loaded.labels.token_seqs, model.labels.token_seqs):
+            np.testing.assert_array_equal(a.ids, b.ids)
+
     def test_bad_magic(self, toy_sets, tmp_path):
         train_set, _ = toy_sets
         model = build_model(TrainConfig(dim=8), train_set)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        raw = bytearray(path.read_bytes())
-        raw[:5] = b"XXXXX"
-        path.write_bytes(raw)
+        body = checkpoint_body(path)
+        body[:5] = b"XXXXX"
+        write_sealed(path, body)
         with pytest.raises(CheckpointError, match="bad magic"):
             load_checkpoint(path, model.vocab, model.labels.label_names)
 
-    def test_vocab_fingerprint_mismatch(self, toy_sets, tmp_path):
+    def test_given_vocab_must_match(self, toy_sets, tmp_path):
         train_set, _ = toy_sets
         model = build_model(TrainConfig(dim=8), train_set)
         path = tmp_path / "model.ckpt"
@@ -449,7 +464,7 @@ class TestCheckpoint:
         bigger = make_dataset(list(train_set.examples) +
                               [Example("color", "one extra novel word zzz")])
         other_vocab = build_vocab(bigger)
-        with pytest.raises(CheckpointError, match="fingerprint"):
+        with pytest.raises(CheckpointError, match="vocabulary differs"):
             load_checkpoint(path, other_vocab, model.labels.label_names)
 
     def test_label_count_shape_mismatch(self, toy_sets, tmp_path):
@@ -457,17 +472,35 @@ class TestCheckpoint:
         model = build_model(TrainConfig(fusion_mode="none", dim=8), train_set)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        with pytest.raises(CheckpointError, match="shape mismatch"):
+        with pytest.raises(CheckpointError, match="label names"):
             load_checkpoint(path, model.vocab, ("a", "b", "c"))
+        # a stored shape that disagrees with the stored vocabulary
+        body = checkpoint_body(path)
+        at = body.index(struct.pack("<Q", 3) + b"emb") + 8 + 3 + 8
+        assert struct.unpack_from("<Q", body, at) == (len(model.vocab),)
+        struct.pack_into("<Q", body, at, len(model.vocab) + 1)
+        write_sealed(path, body)
+        with pytest.raises(CheckpointError, match=r"shape mismatch: stored emb\["):
+            load_checkpoint(path)
 
     def test_truncated_file(self, toy_sets, tmp_path):
         train_set, _ = toy_sets
         model = build_model(TrainConfig(dim=8), train_set)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        path.write_bytes(path.read_bytes()[:40])
+        body = checkpoint_body(path)
+        write_sealed(path, body[:len(body) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path, model.vocab, model.labels.label_names)
+            load_checkpoint(path)
+        write_sealed(path, body[:40])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+        path.write_bytes(body[:40])   # unsealed: the trailer no longer matches
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(path)
+        path.write_bytes(body[:20])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
 
     def test_failed_write_leaves_previous_checkpoint(self, toy_sets, tmp_path, monkeypatch):
         train_set, _ = toy_sets
