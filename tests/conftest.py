@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
 
 import pytest
 
+import labelmatch.nncore
 from labelmatch.trainer import CHECKSUM_BYTES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -58,6 +60,46 @@ def write_sealed(path, body) -> None:
     """Write `body` and a matching sha256 trailer, so that an edit gets past
     the checksum to the checks behind it."""
     Path(path).write_bytes(bytes(body) + hashlib.sha256(body).digest())
+
+
+REAL_EMBED_BACKWARD = labelmatch.nncore.embed_backward
+
+
+def _stray_row(real, d_out, cache):
+    real(d_out, cache)
+    grad = cache.emb.grad
+    grad[(cache.ids + 1) % len(grad)] += 1e-3
+
+
+def _read_row_zeroed(real, d_out, cache):
+    real(d_out, cache)
+    cache.emb.grad[cache.ids[0]] = 0.0
+
+
+def _scatter_shifted(real, d_out, cache):
+    real(d_out, dataclasses.replace(cache, ids=(cache.ids + 1) % len(cache.emb.grad)))
+
+
+# wrong embedding backwards: a stray 1e-3 also written into row id + 1, a read
+# row's gradient zeroed, and the whole scatter shifted to row id + 1
+EMBED_BACKWARD_CORRUPTIONS = {"stray_row": _stray_row, "read_row_zeroed": _read_row_zeroed,
+                              "scatter_shifted": _scatter_shifted}
+
+
+def last_row_set_to(value):
+    """A corruption that sets the last row of the embedding gradient to
+    `value` after the real backward."""
+    def corrupted(real, d_out, cache):
+        real(d_out, cache)
+        cache.emb.grad[-1] = value
+    return corrupted
+
+
+def corrupt_embed_backward(monkeypatch, corrupted) -> None:
+    """Make nncore.embed_backward(d_out, cache) call corrupted(the real
+    embed_backward, d_out, cache) instead."""
+    monkeypatch.setattr(labelmatch.nncore, "embed_backward",
+                        lambda d_out, cache: corrupted(REAL_EMBED_BACKWARD, d_out, cache))
 
 
 def record_acceptance(name: str, passed: bool, detail: str = "") -> None:

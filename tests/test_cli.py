@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import labelmatch.nncore
-from conftest import checkpoint_body, write_sealed
+from conftest import (EMBED_BACKWARD_CORRUPTIONS, checkpoint_body, corrupt_embed_backward,
+                      last_row_set_to, write_sealed)
 from labelmatch.cli import build_parser, main, render_ablation
 from labelmatch.corpus import load_dataset
 from labelmatch.trainer import TrainConfig, build_model, load_checkpoint, save_checkpoint
@@ -590,3 +591,27 @@ class TestGradcheckCommand:
             monkeypatch.setattr(labelmatch.nncore, "ffn_backward", corrupted)
             assert run_cli("gradcheck") == 3
             assert "FAIL" in capsys.readouterr().out
+
+    @staticmethod
+    def full_model_lines(out):
+        lines = [line for line in out.splitlines() if line.startswith("full_model_")]
+        assert len(lines) == 3, out
+        return lines
+
+    @pytest.mark.parametrize("corruption", sorted(EMBED_BACKWARD_CORRUPTIONS))
+    def test_corrupted_embedding_backward_fails_with_exit_three(self, corruption, monkeypatch,
+                                                                capsys):
+        corrupt_embed_backward(monkeypatch, EMBED_BACKWARD_CORRUPTIONS[corruption])
+        assert run_cli("gradcheck") == 3
+        assert all(line.endswith("FAIL") for line in self.full_model_lines(capsys.readouterr().out))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_in_an_unread_row_exits_three(self, value, monkeypatch, capsys):
+        # the last row of the default check's 50-row table is read by no text
+        # and no label phrase
+        corrupt_embed_backward(monkeypatch, last_row_set_to(value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("gradcheck") == 3
+        for line in self.full_model_lines(capsys.readouterr().out):
+            assert "max_rel_err=inf " in line and line.endswith("FAIL"), line
