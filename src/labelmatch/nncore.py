@@ -38,48 +38,42 @@ class ParamStore:
 
     `params` holds one ParamTensor per (name, shape), each a view into the
     four buffers, so the optimizer can update every parameter in one pass.
-    `value`, when given, is the flat value buffer itself (not copied).
+    Iterating the store walks `params`.
     """
 
     __slots__ = ("value", "grad", "adam_m", "adam_v", "params")
 
-    def __init__(self, shapes: list[tuple[str, tuple[int, ...]]], dtype=np.float32,
-                 value: np.ndarray | None = None):
+    def __init__(self, shapes: list[tuple[str, tuple[int, ...]]], dtype=np.float32):
         size = sum(math.prod(shape) for _, shape in shapes)
-        self.value = np.zeros(size, dtype=dtype) if value is None else value
         # np.zeros takes calloc'd memory, whose fresh pages stay unmapped until
         # written; np.zeros_like writes every page (a model that is only
         # evaluated never writes its gradient or moments)
-        self.grad, self.adam_m, self.adam_v = (
-            np.zeros(self.value.shape, self.value.dtype) for _ in range(3))
-        self.params: list[ParamTensor] = []
-        lo = 0
+        bufs = tuple(np.zeros(size, dtype=dtype) for _ in range(4))
+        self.value, self.grad, self.adam_m, self.adam_v = bufs
+        params, lo = [], 0
         for name, shape in shapes:
             hi = lo + math.prod(shape)
             p = ParamTensor.__new__(ParamTensor)
-            p.name, p.store = name, self
-            p.value, p.grad, p.adam_m, p.adam_v = (
-                buf[lo:hi].reshape(shape)
-                for buf in (self.value, self.grad, self.adam_m, self.adam_v))
-            self.params.append(p)
+            p.name = name
+            p.value, p.grad, p.adam_m, p.adam_v = (buf[lo:hi].reshape(shape) for buf in bufs)
+            params.append(p)
             lo = hi
+        self.params: tuple[ParamTensor, ...] = tuple(params)
+
+    def __iter__(self):
+        return iter(self.params)
 
 
 class ParamTensor:
-    """A trainable array with its gradient and Adam moment buffers, all views
-    into the ParamStore that owns them.
+    """A trainable array with its gradient and Adam moment buffers: views into
+    a ParamStore's buffers, holding no reference back to it, or, built
+    directly, `value` itself (not copied) with fresh zero gradient and moments."""
 
-    Built directly from an array, it is the only member of a new store that
-    wraps that array's memory (a non-contiguous array is copied first).
-    """
-
-    __slots__ = ("name", "store", "value", "grad", "adam_m", "adam_v")
+    __slots__ = ("name", "value", "grad", "adam_m", "adam_v")
 
     def __init__(self, name: str, value: np.ndarray):
-        store = ParamStore([(name, value.shape)], value=value.reshape(-1))
-        for slot in self.__slots__:
-            setattr(self, slot, getattr(store.params[0], slot))
-        store.params[0] = self
+        self.name, self.value = name, value
+        self.grad, self.adam_m, self.adam_v = (np.zeros(value.shape, value.dtype) for _ in range(3))
 
     @property
     def shape(self) -> tuple[int, ...]:

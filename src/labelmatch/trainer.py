@@ -20,9 +20,9 @@ batch's texts and, when fusion consults labels, the K label phrases go
 through the encoder in the same pass, packed in a stable length-sorted order
 that depends only on the batch; weight gradients sum fixed row chunks in
 order (nncore.weight_grad), so no BLAS thread count changes the bits. Every
-parameter lives in one ParamStore, a flat buffer each for values, gradients
-and both Adam moments. Adam updates the embedding table row-sparsely (see
-adam_step) and the rest of the store in ADAM_BLOCK-element blocks; each
+parameter lives in the model's ParamStore, a flat buffer each for values,
+gradients and both Adam moments. adam_step updates the embedding table
+row-sparsely and the rest of the store in ADAM_BLOCK-element blocks; each
 element sees a per-tensor update's operations in the same order.
 
 Checkpoint file layout (little-endian throughout):
@@ -76,6 +76,9 @@ ADAM_EPS = 1e-8
 # moments and two scratch arrays) take 1.5 MiB and stay in a 2 MiB per-core
 # L2 cache. Blocks of 32K-128K elements timed the same; 16K was 8% slower.
 ADAM_BLOCK = 65536
+# Elements per block of init draws: each uint64/float64 temporary takes 512 KiB of
+# heap; drawing TREC6's whole table mapped fresh 4.4 MB arrays, raising peak RSS.
+INIT_BLOCK = 65536
 # Packed rows (valid tokens) per evaluation chunk. evaluate_seqs walks the
 # examples in length order, so a chunk of this size holds a few long runs of
 # equal length and attention runs once per run: 111 encoder calls and 142
@@ -201,12 +204,13 @@ class Model:
     config: TrainConfig
     vocab: Vocabulary
     labels: LabelSet
+    store: ParamStore   # every parameter; enc and head name its tensors
     enc: EncoderParams
     head: FusionHead
 
     def parameters(self) -> list[ParamTensor]:
-        """Every parameter in declaration order, from the store they all share."""
-        return list(self.enc.emb.store.params)
+        """Every parameter in declaration order."""
+        return list(self.store)
 
     def predict_logits(self, seq: TokenSeq) -> np.ndarray:
         return forward(self, pack_batch(self, [seq]))[0][0]
@@ -239,18 +243,19 @@ def _xavier_bound(shape: tuple[int, ...]) -> float:
     return math.sqrt(6.0 / (shape[0] + shape[1]))
 
 
-def _assemble(params: list[ParamTensor], config: TrainConfig) -> tuple[EncoderParams, FusionHead]:
-    """Encoder and fusion head over the parameters named by _param_template."""
-    enc = EncoderParams(**{p.name: p for p in params if not p.name.startswith("head.")})
+def _assemble(config: TrainConfig, vocab: Vocabulary, labels: LabelSet,
+              store: ParamStore) -> Model:
+    """The model over a store laid out by _param_template."""
+    enc = EncoderParams(**{p.name: p for p in store if not p.name.startswith("head.")})
     head = FusionHead(mode=config.fusion_mode,
-                      **{p.name.removeprefix("head."): p for p in params
+                      **{p.name.removeprefix("head."): p for p in store
                          if p.name.startswith("head.")})
-    return enc, head
+    return Model(config=config, vocab=vocab, labels=labels, store=store, enc=enc, head=head)
 
 
 def init_params(config: TrainConfig, vocab_size: int, num_classes: int,
-                dtype=np.float32) -> tuple[EncoderParams, FusionHead]:
-    """Deterministic initialization from config.seed (see module docstring)."""
+                dtype=np.float32) -> ParamStore:
+    """_param_template's store, initialized from config.seed (see module docstring)."""
     template = _param_template(config, vocab_size, num_classes)
     store = ParamStore([(name, shape) for name, shape, _ in template], dtype=dtype)
     stream_seed = _mix64(config.seed & MASK64)
@@ -259,11 +264,13 @@ def init_params(config: TrainConfig, vocab_size: int, num_classes: int,
         if kind == "log10":
             p.value[...] = math.log(10.0)
         elif kind != "zero":
-            u = _unit_floats(stream_seed, offset, p.value.size)
-            offset += p.value.size
             bound = 0.01 if kind == "pos" else _xavier_bound(shape)
-            p.value[...] = ((2.0 * u - 1.0) * bound).reshape(shape)
-    return _assemble(store.params, config)
+            flat = p.value.reshape(-1)
+            for lo in range(0, flat.size, INIT_BLOCK):
+                u = _unit_floats(stream_seed, offset + lo, min(INIT_BLOCK, flat.size - lo))
+                flat[lo:lo + u.size] = (2.0 * u - 1.0) * bound
+            offset += flat.size
+    return store
 
 
 def _label_set(label_names: tuple[str, ...], phrases: tuple[str, ...], vocab: Vocabulary,
@@ -284,8 +291,8 @@ def build_model(config: TrainConfig, train_set: Dataset,
     phrases = tuple(verbalize_label(name, verbalizer) for name in train_set.label_names)
     vocab = build_vocab(train_set, config.min_freq, extra_texts=phrases)
     labels = _label_set(train_set.label_names, phrases, vocab, config.max_len)
-    enc, head = init_params(config, len(vocab), labels.num_classes, dtype=dtype)
-    return Model(config=config, vocab=vocab, labels=labels, enc=enc, head=head)
+    return _assemble(config, vocab, labels,
+                     init_params(config, len(vocab), labels.num_classes, dtype=dtype))
 
 
 # --- optimizer -------------------------------------------------------------------
@@ -326,22 +333,19 @@ def _touched_rows(grad: np.ndarray) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
-    """Bias-corrected Adam update of every parameter; zeroes grads after.
+def adam_step(store: ParamStore, lr: float, t: int) -> None:
+    """Bias-corrected Adam update of every parameter of `store`; zeroes grads after.
 
-    `params` must be one store's parameters, in order. A leading matrix (the
-    embedding table) is updated row-sparsely, as LazyAdam does: a row whose
-    gradient is all zero keeps its value and moments, and the touched rows
-    (an entry != 0, so NaN counts) use the global step t. The rest of the
-    store is updated in ADAM_BLOCK-element blocks. All-or-nothing: touched
-    rows and the rest, so the whole gradient, are checked before any change.
+    A leading matrix (`emb` in a model's store) is updated row-sparsely, as
+    LazyAdam does: a row whose gradient is all zero keeps its value and
+    moments, and the touched rows (an entry != 0, so NaN counts) use the
+    global step t. The rest of the store is updated in ADAM_BLOCK-element
+    blocks. All-or-nothing: touched rows and the rest, so the whole gradient,
+    are checked before any change.
     """
     if t < 1:
         raise TrainingError(f"step counter must be >= 1, got {t}")
-    store = params[0].store
-    if list(params) != store.params:
-        raise ValueError("adam_step needs every parameter of one store, once, in order")
-    table = params[0]
+    table = store.params[0]
     if table.value.ndim == 2:
         rows = _touched_rows(table.grad)
         start = table.value.size   # the dense pass starts after the table
@@ -349,7 +353,7 @@ def adam_step(params: list[ParamTensor], lr: float, t: int) -> None:
         rows, start = np.empty(0, dtype=np.intp), 0
     row_grad = table.grad[rows]
     if not (np.isfinite(row_grad).all() and np.isfinite(store.grad[start:]).all()):
-        bad = next(p for p in params if not np.isfinite(p.grad).all())
+        bad = next(p for p in store if not np.isfinite(p.grad).all())
         raise TrainingError(f"non-finite gradient in parameter {bad.name!r}")
     c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
     value, m, v = table.value[rows], table.adam_m[rows], table.adam_v[rows]
@@ -484,7 +488,7 @@ def train(config: TrainConfig, train_set: Dataset, eval_set: Dataset,
                                 [train_targets[i] for i in batch_idx])
             epoch_losses.extend(losses)
             step += 1
-            adam_step(model.parameters(), config.learning_rate, step)
+            adam_step(model.store, config.learning_rate, step)
         train_eval = evaluate_seqs(model, train_seqs, train_targets)
         test_eval = evaluate_seqs(model, eval_seqs, eval_targets)
         stats = EpochStats(epoch=epoch + 1,
@@ -554,9 +558,8 @@ def _write_checkpoint(f, model: Model) -> None:
     for name, phrase in zip(model.labels.label_names, model.labels.phrases):
         _write_str(f, name)
         _write_str(f, phrase)
-    params = model.parameters()
-    _write_u64(f, len(params))
-    for p in params:
+    _write_u64(f, len(model.store.params))
+    for p in model.store:
         _write_str(f, p.name)
         _write_u64(f, p.value.ndim)
         for dim in p.value.shape:
@@ -614,9 +617,9 @@ def load_checkpoint(path, vocab: Vocabulary | None = None,
 
     The file is read once and its sha256 trailer checked before anything is
     parsed. `vocab` and `label_names`, when given, must equal the stored
-    ones. The tokens must be unique and start with <pad>, <unk>; every
-    parameter's name and shape must match _param_template, and its values
-    must be finite.
+    ones. The tokens must be unique and start with <pad>, <unk>, the label
+    names unique and non-empty; every parameter's name and shape must match
+    _param_template, and its values must be finite.
     """
     r = _Reader(_verified_body(path), path)
     r.take(len(CHECKPOINT_MAGIC))
@@ -636,6 +639,8 @@ def load_checkpoint(path, vocab: Vocabulary | None = None,
     k = r.u64()
     pairs = [(r.text(), r.text()) for _ in range(k)]   # >= 16 bytes each: no runaway k
     names, phrases = tuple(n for n, _ in pairs), tuple(p for _, p in pairs)
+    if "" in names or len(set(names)) != k:
+        raise CheckpointError(f"{path}: the label names are not {k} unique non-empty names")
     if label_names is not None and tuple(label_names) != names:
         raise CheckpointError(f"{path}: label names {list(label_names)} differ from "
                               f"the stored {list(names)}")
@@ -651,7 +656,7 @@ def load_checkpoint(path, vocab: Vocabulary | None = None,
         raise CheckpointError(f"{path}: truncated checkpoint or shape mismatch: "
                               f"{needed} parameter bytes expected, {r.left()} left")
     store = ParamStore(shapes, dtype=np.dtype("<f4"))
-    for p in store.params:
+    for p in store:
         stored_name = r.text()
         ndim = r.u64()
         stored_shape = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
@@ -663,6 +668,5 @@ def load_checkpoint(path, vocab: Vocabulary | None = None,
         if not np.isfinite(p.value).all():
             raise CheckpointError(f"{path}: non-finite value in parameter {p.name!r}")
 
-    labels = _label_set(names, phrases, stored_vocab, config.max_len)
-    enc, head = _assemble(store.params, config)
-    return Model(config=config, vocab=stored_vocab, labels=labels, enc=enc, head=head)
+    return _assemble(config, stored_vocab,
+                     _label_set(names, phrases, stored_vocab, config.max_len), store)

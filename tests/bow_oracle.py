@@ -26,8 +26,8 @@ def _accuracy(w, b, doc_idx, tok_idx, y, n):
 
 
 def read_tsv(path):
-    lines = open(path, encoding="utf-8").read().splitlines()
-    return [tuple(line.split("\t", 1)) for line in lines]
+    with open(path, encoding="utf-8") as f:
+        return [tuple(line.split("\t", 1)) for line in f.read().splitlines()]
 
 
 def bow_logistic_regression(train_rows, test_rows, iters=300, lr=0.05, l2=1e-5):

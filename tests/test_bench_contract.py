@@ -1,7 +1,8 @@
 """The hooks the benchmark relies on (perfbench/tracer.py, read here and
 never modified): the functions it wraps exist, training reaches the two
-step-boundary functions through module globals, once per optimizer step, and
-the benchmark's own self-test runs every workload on this program."""
+step-boundary functions through module globals, once per optimizer step,
+adam_step's first argument iterates to the parameters whose bytes the tracer
+sums, and the benchmark's own self-test runs every workload on this program."""
 
 import importlib
 import importlib.util
@@ -55,6 +56,27 @@ def test_one_epoch_times_one_sample_per_optimizer_step(monkeypatch):
     assert len(steps.step_ns) == expected
     assert calls == {"batch_step": expected, "adam_step": expected}
     assert tracer.installed_wrappers() == []
+
+
+def test_adam_step_gets_what_the_tracer_counts(monkeypatch):
+    # the tracer sums p.value.nbytes over adam_step's first argument
+    passed = []
+    real = labelmatch.trainer.adam_step
+
+    def spy(store, *args, **kwargs):
+        passed.append(store)
+        return real(store, *args, **kwargs)
+
+    monkeypatch.setattr(labelmatch.trainer, "adam_step", spy)
+    dataset = make_dataset([Example("a" if i % 2 else "b", f"word{i} tail") for i in range(4)])
+    model, _ = train(TrainConfig(fusion_mode="dot", dim=8, epochs=1, batch_size=2, seed=0),
+                     dataset, dataset)
+    assert len(passed) == 2
+    for first in passed:
+        params = list(first)
+        assert len(params) == len(model.parameters())
+        assert all(p is q for p, q in zip(params, model.parameters()))
+        assert sum(p.value.nbytes for p in first) == model.store.value.nbytes
 
 
 def test_benchmark_selftest():

@@ -43,7 +43,7 @@ class TestFullModel:
                                                           vocab_size=50)
         for step in range(1, 31):
             batch_step(model, seqs, targets)
-            adam_step(model.parameters(), lr=1e-3, t=step)
+            adam_step(model.store, lr=1e-3, t=step)
         _nudge_relu_safe(model, batch, RELU_MARGIN)
         batch_step(model, seqs, targets)
         report = check_batch(f"trained_{mode}", model, batch, targets)

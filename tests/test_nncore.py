@@ -27,17 +27,21 @@ class TestParamStore:
         store = ParamStore([("a", (2, 3)), ("s", ()), ("b", (4,))], dtype=np.float64)
         assert store.value.shape == (11,) and store.value.dtype == np.float64
         a, s, b = store.params
+        assert list(store) == [a, s, b]
         assert (a.shape, s.shape, b.shape) == ((2, 3), (), (4,))
         b.value[...] = 7.0
         b.grad[0] = 1.0
         np.testing.assert_array_equal(store.value[7:], 7.0)
         assert store.grad[7] == 1.0 and store.grad[:7].sum() == 0
 
-    def test_array_becomes_a_store_of_one_without_copy(self):
+    def test_array_is_wrapped_without_copy(self):
         value = np.arange(6.0).reshape(2, 3)
         p = ParamTensor("p", value)
-        assert p.store.params == [p]
-        assert np.shares_memory(p.value, value) and p.value.shape == (2, 3)
+        assert not hasattr(p, "store")
+        assert p.value is value
+        for buf in (p.grad, p.adam_m, p.adam_v):
+            assert buf.shape == (2, 3) and buf.dtype == value.dtype and not buf.any()
+            assert not np.shares_memory(buf, value)
         p.value[1, 2] = -1.0
         assert value[1, 2] == -1.0
 

@@ -46,7 +46,7 @@ def float64_model(mode):
     targets = [i % 3 for i in range(len(seqs))]
     for step in range(1, 4):  # move off the initialization, so no bias is zero
         batch_step(model, seqs[:3], targets[:3])
-        adam_step(model.parameters(), lr=1e-2, t=step)
+        adam_step(model.store, lr=1e-2, t=step)
     return model, seqs, targets
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import gc
 import math
 import os
 import platform
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -50,28 +52,41 @@ def bits(x: np.ndarray) -> np.ndarray:
     return x.view(np.uint8)
 
 
-def assert_one_store(params: list[ParamTensor]) -> None:
-    store = params[0].store
-    assert store.params == params
+def named(store: ParamStore) -> dict[str, ParamTensor]:
+    return {p.name: p for p in store}
+
+
+def assert_one_store(model: Model) -> None:
+    params = model.parameters()
+    assert params == list(model.store.params)
     for p in params:
-        assert p.store is store
+        assert not hasattr(p, "store")
         for name in ("value", "grad", "adam_m", "adam_v"):
-            assert np.shares_memory(getattr(p, name), getattr(store, name))
+            assert np.shares_memory(getattr(p, name), getattr(model.store, name))
+
+
+def store_of(name: str, value) -> ParamStore:
+    """A store of one parameter holding a copy of `value`, in its dtype."""
+    value = np.asarray(value)
+    store = ParamStore([(name, value.shape)], dtype=value.dtype)
+    store.value[...] = value.reshape(-1)
+    return store
+
+
+def mix64(z: int) -> int:
+    """The trainer module docstring's splitmix64 finalizer, in Python ints only."""
+    mask = 2**64 - 1
+    z &= mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 def splitmix64_fisher_yates(n: int, seed: int) -> list[int]:
     """The trainer module docstring's shuffle, in Python ints only."""
-    mask = 2**64 - 1
-
-    def out(c: int) -> int:
-        z = (seed + (c + 1) * 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31)
-
     idx = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = out(n - 1 - i) % (i + 1)
+        j = mix64(seed + (n - i) * 0x9E3779B97F4A7C15) % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
 
@@ -108,34 +123,34 @@ class TestTouchedRows:
 
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
-        p = ParamTensor("p", np.array([1.0, -2.0], dtype=np.float32))
-        adam_step([p], lr=1e-3, t=1)
-        np.testing.assert_array_equal(p.value, [1.0, -2.0])
+        store = store_of("p", np.array([1.0, -2.0], dtype=np.float32))
+        adam_step(store, lr=1e-3, t=1)
+        np.testing.assert_array_equal(store.value, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
         # m-hat = v-hat = 1 at t=1 for a unit gradient, so the update is
         # -lr / (1 + eps), within a hair of -1e-3
-        p = ParamTensor("p", np.array([0.0]))
-        p.grad += 1.0
-        adam_step([p], lr=1e-3, t=1)
-        assert abs(p.value[0] + 1e-3) < 1e-9
-        assert (p.grad == 0).all()
+        store = store_of("p", [0.0])
+        store.grad += 1.0
+        adam_step(store, lr=1e-3, t=1)
+        assert abs(store.value[0] + 1e-3) < 1e-9
+        assert (store.grad == 0).all()
 
     def test_negated_gradient_negates_first_update(self):
-        a = ParamTensor("a", np.zeros(4))
-        b = ParamTensor("b", np.zeros(4))
+        a = store_of("a", np.zeros(4))
+        b = store_of("b", np.zeros(4))
         g = np.random.default_rng(0).normal(size=4)
         a.grad += g
         b.grad += -g
-        adam_step([a], lr=1e-3, t=1)
-        adam_step([b], lr=1e-3, t=1)
+        adam_step(a, lr=1e-3, t=1)
+        adam_step(b, lr=1e-3, t=1)
         np.testing.assert_array_equal(a.value, -b.value)
 
     def test_non_finite_gradient_names_parameter(self):
-        p = ParamTensor("oddball", np.zeros(2))
-        p.grad += np.array([1.0, np.nan])
-        with pytest.raises(TrainingError, match="oddball"):
-            adam_step([p], lr=1e-3, t=1)
+        store = ParamStore([("fine", (3,)), ("oddball", (2,))], dtype=np.float64)
+        store.grad[...] = [1.0, 2.0, 3.0, 1.0, np.nan]
+        with pytest.raises(TrainingError, match="'oddball'"):
+            adam_step(store, lr=1e-3, t=1)
 
     def test_non_finite_gradient_changes_nothing(self, toy_sets):
         # the first offending parameter in declaration order is named, and no
@@ -147,7 +162,7 @@ class TestAdamStep:
         for t in (1, 2, 3):
             for p in params:
                 p.grad[...] = rng.normal(size=p.shape)
-            adam_step(params, lr=1e-2, t=t)
+            adam_step(model.store, lr=1e-2, t=t)
         for p in params:
             p.grad[...] = rng.normal(size=p.shape)
         model.enc.b2.grad[1] = np.inf
@@ -155,19 +170,10 @@ class TestAdamStep:
         before = [[getattr(p, a).copy() for a in ("value", "grad", "adam_m", "adam_v")]
                   for p in params]
         with pytest.raises(TrainingError, match="'b2'"):
-            adam_step(params, lr=1e-2, t=4)
+            adam_step(model.store, lr=1e-2, t=4)
         for p, saved in zip(params, before):
             for a, old in zip(("value", "grad", "adam_m", "adam_v"), saved):
                 assert np.array_equal(bits(getattr(p, a)), bits(old)), (p.name, a)
-
-    def test_part_of_a_store_rejected(self, toy_sets):
-        train_set, _ = toy_sets
-        params = build_model(TrainConfig(dim=8), train_set).parameters()
-        standalone = [ParamTensor("a", np.zeros(2)), ParamTensor("b", np.zeros(2))]
-        foreign = params + standalone[:1]
-        for partial in (params[1:], params + params[:1], standalone, foreign):
-            with pytest.raises(ValueError, match="every parameter"):
-                adam_step(partial, lr=1e-3, t=1)
 
     def test_untouched_table_row_keeps_its_bits(self):
         store = ParamStore([("emb", (6, 4)), ("b", (3,))], dtype=np.float32)
@@ -176,13 +182,13 @@ class TestAdamStep:
         table, bias = store.params
         for t in range(1, 4):
             store.grad[...] = rng.normal(size=store.grad.size)
-            adam_step(store.params, lr=1e-2, t=t)
+            adam_step(store, lr=1e-2, t=t)
         saved = {a: getattr(table, a)[2].copy() for a in ("value", "adam_m", "adam_v")}
         moved = table.value[3].copy()
         for t in range(4, 24):
             table.grad[[0, 1, 3, 4, 5]] = rng.normal(size=(5, 4))
             bias.grad[...] = rng.normal(size=3)
-            adam_step(store.params, lr=1e-2, t=t)
+            adam_step(store, lr=1e-2, t=t)
         for a, old in saved.items():
             assert np.array_equal(bits(getattr(table, a)[2]), bits(old)), a
         assert not np.array_equal(table.value[3], moved)
@@ -199,7 +205,7 @@ class TestAdamStep:
         before = [[getattr(p, a).copy() for a in ("value", "grad", "adam_m", "adam_v")]
                   for p in params]
         with pytest.raises(TrainingError, match="'emb'"):
-            adam_step(params, lr=1e-2, t=1)
+            adam_step(model.store, lr=1e-2, t=1)
         for p, saved in zip(params, before):
             for a, old in zip(("value", "grad", "adam_m", "adam_v"), saved):
                 assert np.array_equal(bits(getattr(p, a)), bits(old)), (p.name, a)
@@ -224,7 +230,7 @@ class TestAdamStep:
             store.grad[...] = grad
             for p, lo in zip(singles, offsets):
                 p.grad[...] = grad[lo:lo + p.value.size].reshape(p.shape)
-            adam_step(store.params, lr=1e-3, t=t)
+            adam_step(store, lr=1e-3, t=t)
             reference.adam_step(singles, lr=1e-3, t=t)
             for p, q in zip(store.params, singles):
                 for a in ("value", "adam_m", "adam_v", "grad"):
@@ -234,29 +240,46 @@ class TestAdamStep:
 class TestInitParams:
     def test_same_seed_bitwise_identical(self):
         config = TrainConfig(fusion_mode="none", dim=8, seed=42)
-        enc_a, _ = init_params(config, vocab_size=30, num_classes=4)
-        enc_b, _ = init_params(config, vocab_size=30, num_classes=4)
-        for x, y in zip(enc_a.emb.store.params, enc_b.emb.store.params):
-            np.testing.assert_array_equal(x.value, y.value)
+        a = init_params(config, vocab_size=30, num_classes=4)
+        b = init_params(config, vocab_size=30, num_classes=4)
+        assert [p.name for p in a] == [p.name for p in b]
+        assert np.array_equal(bits(a.value), bits(b.value))
 
     def test_different_seed_differs(self):
-        a, _ = init_params(TrainConfig(dim=8, seed=1), 30, 4)
-        b, _ = init_params(TrainConfig(dim=8, seed=2), 30, 4)
-        assert not np.array_equal(a.emb.value, b.emb.value)
+        a = init_params(TrainConfig(dim=8, seed=1), 30, 4)
+        b = init_params(TrainConfig(dim=8, seed=2), 30, 4)
+        assert not np.array_equal(a.params[0].value, b.params[0].value)
 
     def test_biases_start_at_zero(self):
         for mode in ("none", "add"):
-            enc, head = init_params(TrainConfig(fusion_mode=mode, dim=8, seed=0), 30, 4)
-            assert (enc.b1.value == 0).all() and (enc.b2.value == 0).all()
-            assert (head.b_out.value == 0).all()
+            p = named(init_params(TrainConfig(fusion_mode=mode, dim=8, seed=0), 30, 4))
+            assert (p["b1"].value == 0).all() and (p["b2"].value == 0).all()
+            assert (p["head.b_out"].value == 0).all()
 
     def test_dot_scale_starts_at_ten(self):
-        _, head = init_params(TrainConfig(fusion_mode="dot", dim=8, seed=0), 30, 4)
-        assert abs(float(np.exp(head.log_scale.value[0])) - 10.0) < 1e-5
+        p = named(init_params(TrainConfig(fusion_mode="dot", dim=8, seed=0), 30, 4))
+        assert abs(float(np.exp(p["head.log_scale"].value[0])) - 10.0) < 1e-5
+
+    def test_draws_follow_the_documented_stream_across_blocks(self):
+        # emb spans three INIT_BLOCK blocks: element i takes the stream's i-th
+        # unit float, and pos continues the stream where emb ends
+        block, d = labelmatch.trainer.INIT_BLOCK, 8
+        vocab = 2 * block // d + 3
+        p = named(init_params(TrainConfig(dim=d, seed=9), vocab, 4, dtype=np.float64))
+        stream = mix64(9)
+
+        def draw(c: int, bound: float) -> float:
+            u = (mix64(stream + (c + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+            return (2.0 * u - 1.0) * bound
+
+        emb = p["emb"].value.reshape(-1)
+        for i in (0, block - 1, block, 2 * block, emb.size - 1):
+            assert emb[i] == draw(i, math.sqrt(6.0 / (vocab + d))), i
+        assert p["pos"].value[0, 0] == draw(emb.size, 0.01)
 
     def test_position_embeddings_are_small(self):
-        enc, _ = init_params(TrainConfig(dim=8, seed=0), 30, 4)
-        assert np.abs(enc.pos.value).max() <= 0.01
+        p = named(init_params(TrainConfig(dim=8, seed=0), 30, 4))
+        assert np.abs(p["pos"].value).max() <= 0.01
 
 
 class TestShuffle:
@@ -307,8 +330,7 @@ class TestTrain:
     def test_parameters_are_views_of_one_store(self, toy_sets):
         train_set, _ = toy_sets
         for mode in ("none", "add", "dot"):
-            assert_one_store(build_model(TrainConfig(fusion_mode=mode, dim=8), train_set)
-                             .parameters())
+            assert_one_store(build_model(TrainConfig(fusion_mode=mode, dim=8), train_set))
 
     def test_memorizes_toy_set(self, toy_sets):
         train_set, _ = toy_sets
@@ -374,7 +396,7 @@ class TestPredictLogits:
         model.predict_logits(seqs[0])
         for t in range(1, 6):
             batch_step(model, seqs, targets)
-            adam_step(model.parameters(), lr=1e-2, t=t)
+            adam_step(model.store, lr=1e-2, t=t)
         expected, _ = forward(model, pack_batch(model, [seqs[0]]))
         assert np.array_equal(bits(model.predict_logits(seqs[0])), bits(expected[0]))
 
@@ -427,7 +449,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, model.vocab, model.labels.label_names)
         assert params_equal(model, loaded)
         assert loaded.config == config
-        assert_one_store(loaded.parameters())
+        assert_one_store(loaded)
         seq = tokenize("the green cat barked", model.vocab, config.max_len)
         np.testing.assert_array_equal(model.predict_logits(seq),
                                       loaded.predict_logits(seq))
@@ -502,6 +524,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("names", [("animal", "animal"), ("", "color")])
+    def test_label_names_must_be_unique_and_non_empty(self, toy_sets, tmp_path, names):
+        # save_checkpoint cannot write such names; a sealed edit must not load
+        train_set, _ = toy_sets
+        model = build_model(TrainConfig(dim=8), train_set)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def text(s: str) -> bytes:
+            return struct.pack("<Q", len(s.encode())) + s.encode()
+
+        body = checkpoint_body(path)
+        stored = text("animal") + text("animal") + text("color") + text("color")
+        at = body.index(stored)
+        body[at:at + len(stored)] = b"".join(text(name) + text(phrase) for name, phrase
+                                             in zip(names, ("animal", "color")))
+        write_sealed(path, body)
+        with pytest.raises(CheckpointError, match="2 unique non-empty names"):
+            load_checkpoint(path)
+
     def test_failed_write_leaves_previous_checkpoint(self, toy_sets, tmp_path, monkeypatch):
         train_set, _ = toy_sets
         path = tmp_path / "model.ckpt"
@@ -523,6 +565,38 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == [path]
 
 
+class TestNoReferenceCycle:
+    @pytest.mark.parametrize("source", ["build_model", "train_then_evaluate",
+                                        "load_checkpoint"])
+    def test_dropped_model_is_freed_without_the_cyclic_gc(self, toy_sets, tmp_path, source):
+        # no tensor refers back to its store, so with the cyclic gc off a
+        # dropped model's buffers are freed at once and leave no garbage
+        train_set, eval_set = toy_sets
+        config = TrainConfig(fusion_mode="dot", dim=8, epochs=1, batch_size=2, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(config, train_set), path)
+
+        def make() -> Model:
+            if source == "build_model":
+                return build_model(config, train_set)
+            if source == "load_checkpoint":
+                return load_checkpoint(path)
+            model, _ = train(config, train_set, eval_set)
+            evaluate(model, eval_set)
+            return model
+
+        gc.collect()
+        gc.disable()
+        try:
+            model = make()
+            value = weakref.ref(model.store.value)
+            del model
+            assert value() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 FAULTS_PER_STEP = textwrap.dedent("""
     import resource
     import labelmatch as lm
@@ -541,7 +615,7 @@ FAULTS_PER_STEP = textwrap.dedent("""
             batch_step(model, seqs[lo:lo + config.batch_size],
                        targets[lo:lo + config.batch_size])
             step += 1
-            adam_step(model.parameters(), config.learning_rate, step)
+            adam_step(model.store, config.learning_rate, step)
 
     run(20)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -570,7 +644,7 @@ THREADED_EPOCH = textwrap.dedent("""
     test_set = lm.load_dataset({test!r}, split="test")
     model, _ = lm.train(lm.TrainConfig(fusion_mode="dot", epochs=1, seed=3),
                         train_set, test_set)
-    print(hashlib.sha256(model.enc.emb.store.value.tobytes()).hexdigest())
+    print(hashlib.sha256(model.store.value.tobytes()).hexdigest())
 """)
 
 
