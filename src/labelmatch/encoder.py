@@ -86,12 +86,18 @@ class EncodeCache:
     ffn_cache: nncore.FfnCache
 
 
-def encode_batch_forward(batch: Pack, params: EncoderParams):
+def encode_batch_forward(batch: Pack, params: EncoderParams, reuse: EncodeCache | None = None):
     """Embed + one residual attention/FFN block + mean pooling, for every
-    sequence of the pack; returns (sequence count x d vectors, cache)."""
-    x0, embed_cache = nncore.embed_forward(batch.ids, batch.segs.positions, params.emb, params.pos)
-    x1, attn_cache = nncore.attention_forward(x0, batch.segs, params.wq, params.wk, params.wv)
-    x1 += x0  # residual, in place: the attention output is not kept
+    sequence of the pack; returns (sequence count x d vectors, cache). Given
+    `reuse`, the cache of a pass over this pack at the current emb, pos, wq, wk
+    and wv, it starts at the FFN from the cached input: the same bits, cheaper."""
+    if reuse is None:
+        x0, embed_cache = nncore.embed_forward(batch.ids, batch.segs.positions,
+                                               params.emb, params.pos)
+        x1, attn_cache = nncore.attention_forward(x0, batch.segs, params.wq, params.wk, params.wv)
+        x1 += x0  # residual, in place: the attention output is not kept
+    else:
+        x1, embed_cache, attn_cache = reuse.ffn_cache.x, reuse.embed_cache, reuse.attn_cache
     x2, ffn_cache = nncore.ffn_forward(x1, params.w1, params.b1, params.w2, params.b2)
     x2 += x1
     vecs = np.empty((batch.order.size, x2.shape[1]), dtype=x2.dtype)

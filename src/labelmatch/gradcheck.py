@@ -7,11 +7,13 @@ on a synthetic corpus. The forward reads the embedding table only at the
 pack's ids, so an unread row's central difference is exactly 0 and its
 relative error is |g| / max(|g|, 1e-8): check_batch perturbs only the read
 rows (and every other parameter) and takes the maximum with that, the same
-bits as perturbing every coordinate. Central differences are meaningless at
-a relu kink, so every check with a relu shifts a bias (or, for the additive
-head's layer check, a label column) by `_min_shift` until every
-preactivation (FFN hidden units, and the fused vectors of the additive head)
-clears a safety margin.
+bits as perturbing every coordinate. A perturbed w1, b1, w2, b2 or head array
+leaves the FFN input as it was, so those passes start at the FFN from one
+unperturbed pass's cache (`reuse`), again with the same bits. Central
+differences are meaningless at a relu kink, so every check with a relu shifts
+a bias (or, for the additive head's layer check, a label column) by
+`_min_shift` until every preactivation (FFN hidden units, and the fused
+vectors of the additive head) clears a safety margin.
 """
 
 from __future__ import annotations
@@ -219,9 +221,9 @@ def _synthetic_instance(mode: str, dim: int, max_len: int, vocab_size: int):
     return model, seqs, batch, targets
 
 
-def batch_loss(model: Model, batch, targets) -> float:
-    """Mean cross-entropy of a pack_batch pack, forward pass only."""
-    logits, _ = forward(model, batch)
+def batch_loss(model: Model, batch, targets, reuse=None) -> float:
+    """Mean cross-entropy of a pack_batch pack, forward pass only; `reuse` as in forward."""
+    logits, _ = forward(model, batch, reuse)
     losses, _ = nncore.cross_entropy(logits, np.asarray(targets))
     return float(losses.mean())
 
@@ -229,7 +231,9 @@ def batch_loss(model: Model, batch, targets) -> float:
 def check_batch(op_name: str, model: Model, batch, targets) -> GradCheckReport:
     """finite_diff_check of batch_loss over model.parameters(), with the
     analytic gradient already in their grads, perturbing of `emb` only the
-    rows the pack reads (one view of the table per row)."""
+    rows the pack reads (one view of the table per row). The parameters from
+    w1 on cannot move the FFN input, so their forwards reuse the unperturbed
+    pass's cache and start at the FFN; every loss keeps its bits."""
     params = model.parameters()
     if not all(np.isfinite(p.grad).all() for p in params):
         return GradCheckReport(op_name=op_name, max_rel_err=math.inf)
@@ -247,9 +251,14 @@ def check_batch(op_name: str, model: Model, batch, targets) -> GradCheckReport:
     # eps an order larger than for single layers: cancellation can leave true
     # zeros among these gradients, and the difference-quotient noise floor
     # ulp(f)/(2 eps) must stay well under threshold * 1e-8.
-    report = finite_diff_check(op_name, lambda: batch_loss(model, batch, targets),
-                               rows + [p for p in params if p is not emb], eps=1e-4)
-    return GradCheckReport(op_name=op_name, max_rel_err=max(report.max_rel_err, unread_err))
+    late = params.index(model.enc.w1)  # declared after emb, pos, wq, wk and wv
+    _, (cache, _) = forward(model, batch)
+    full = finite_diff_check(op_name, lambda: batch_loss(model, batch, targets),
+                             rows + [p for p in params[:late] if p is not emb], eps=1e-4)
+    reused = finite_diff_check(op_name, lambda: batch_loss(model, batch, targets, cache),
+                               params[late:], eps=1e-4)
+    return GradCheckReport(op_name=op_name,
+                           max_rel_err=max(full.max_rel_err, reused.max_rel_err, unread_err))
 
 
 def check_full_model(mode: str, dim: int = 8, max_len: int = 6,

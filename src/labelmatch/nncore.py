@@ -20,6 +20,7 @@ by the other sequences in its pack.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,9 @@ GRAD_CHUNK_ROWS = 256
 
 class ParamStore:
     """One contiguous buffer each for the values, gradients and Adam moments
-    of a list of parameters, laid out in declaration order.
+    of a list of parameters, laid out in declaration order. The gradients and
+    moments are the rows of one private anonymous mapping, so a page of them
+    takes memory only once written (calloc would memset a reused heap chunk).
 
     `params` holds one ParamTensor per (name, shape), each a view into the
     four buffers, so the optimizer can update every parameter in one pass.
@@ -45,10 +48,11 @@ class ParamStore:
 
     def __init__(self, shapes: list[tuple[str, tuple[int, ...]]], dtype=np.float32):
         size = sum(math.prod(shape) for _, shape in shapes)
-        # np.zeros takes calloc'd memory, whose fresh pages stay unmapped until
-        # written; np.zeros_like writes every page (a model that is only
-        # evaluated never writes its gradient or moments)
-        bufs = tuple(np.zeros(size, dtype=dtype) for _ in range(4))
+        # unmapped when the last view dies; never resident in a model only evaluated
+        flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+        state = np.frombuffer(mmap.mmap(-1, 3 * size * np.dtype(dtype).itemsize, **flags),
+                              dtype=dtype, count=3 * size).reshape(3, size)
+        bufs = (np.zeros(size, dtype=dtype), *state)
         self.value, self.grad, self.adam_m, self.adam_v = bufs
         params, lo = [], 0
         for name, shape in shapes:

@@ -57,7 +57,7 @@ import numpy as np
 
 from .corpus import (PAD_TOKEN, UNK_TOKEN, Dataset, TokenSeq, Vocabulary, build_vocab,
                      tokenize_texts, verbalize_label)
-from .encoder import (EncoderParams, LabelSet, Pack, encode_batch_backward,
+from .encoder import (EncodeCache, EncoderParams, LabelSet, Pack, encode_batch_backward,
                       encode_batch_forward, encode_labels_forward, pack)
 from .errors import CheckpointError, DataError, TrainingError
 from .fusion import (FUSION_MODES, FusionHead, head_template, score_backward,
@@ -378,10 +378,10 @@ def pack_batch(model: Model, seqs: list[TokenSeq]) -> Pack:
     return pack([*seqs, *(model.labels.token_seqs if uses_labels(model.head.mode) else ())])
 
 
-def forward(model: Model, batch: Pack):
-    """Logits (texts x K) from one encoder pass over a pack_batch pack."""
+def forward(model: Model, batch: Pack, reuse: EncodeCache | None = None):
+    """Logits (texts x K) from one encoder pass over a pack_batch pack (reuse: see encoder)."""
     k = model.labels.num_classes if uses_labels(model.head.mode) else 0
-    vecs, encode_cache = encode_batch_forward(batch, model.enc)
+    vecs, encode_cache = encode_batch_forward(batch, model.enc, reuse)
     n = len(vecs) - k
     logits, score_cache = score_forward(vecs[:n], vecs[n:] if k else None, model.head)
     return logits, (encode_cache, score_cache)

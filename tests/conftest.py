@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import labelmatch.nncore
+import labelmatch.trainer
+from labelmatch.fusion import head_template
 from labelmatch.trainer import CHECKSUM_BYTES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -62,9 +64,6 @@ def write_sealed(path, body) -> None:
     Path(path).write_bytes(bytes(body) + hashlib.sha256(body).digest())
 
 
-REAL_EMBED_BACKWARD = labelmatch.nncore.embed_backward
-
-
 def _stray_row(real, d_out, cache):
     real(d_out, cache)
     grad = cache.emb.grad
@@ -98,8 +97,41 @@ def last_row_set_to(value):
 def corrupt_embed_backward(monkeypatch, corrupted) -> None:
     """Make nncore.embed_backward(d_out, cache) call corrupted(the real
     embed_backward, d_out, cache) instead."""
-    monkeypatch.setattr(labelmatch.nncore, "embed_backward",
-                        lambda d_out, cache: corrupted(REAL_EMBED_BACKWARD, d_out, cache))
+    corrupt_backward(monkeypatch, labelmatch.nncore, "embed_backward", corrupted)
+
+
+def _w1_scaled(real, d_out, cache):
+    d_x = real(d_out, cache)
+    cache.w1.grad *= 1.01
+    return d_x
+
+
+def _b2_offset(real, d_out, cache):
+    d_x = real(d_out, cache)
+    cache.b2.grad += 1e-3
+    return d_x
+
+
+def _first_head_param_scaled(real, d_logits, cache):
+    d_inputs = real(d_logits, cache)
+    name = head_template(cache.head.mode, 1, 1)[0][0]
+    getattr(cache.head, name).grad *= 1.01
+    return d_inputs
+
+
+# wrong backwards of the parameters whose finite differences start at the FFN:
+# (module, function, corrupted) with corrupted(the real function, *its arguments)
+LATE_BACKWARD_CORRUPTIONS = {
+    "w1_scaled": (labelmatch.nncore, "ffn_backward", _w1_scaled),
+    "b2_offset": (labelmatch.nncore, "ffn_backward", _b2_offset),
+    "first_head_param_scaled": (labelmatch.trainer, "score_backward", _first_head_param_scaled),
+}
+
+
+def corrupt_backward(monkeypatch, module, name, corrupted) -> None:
+    """Make module.name(*args) call corrupted(the real module.name, *args) instead."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: corrupted(real, *args))
 
 
 def record_acceptance(name: str, passed: bool, detail: str = "") -> None:

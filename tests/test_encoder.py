@@ -122,9 +122,9 @@ class TestParameterSharing:
             packed[id(batch)] = [id(seq) for seq in seqs]
             return batch
 
-        def spy_forward(batch, params):
+        def spy_forward(batch, params, reuse=None):
             seen.append((id(params), packed[id(batch)]))
-            return original_forward(batch, params)
+            return original_forward(batch, params, reuse)
 
         for module in (labelmatch.encoder, labelmatch.trainer):
             monkeypatch.setattr(module, "pack", spy_pack)

@@ -217,3 +217,25 @@ def test_one_pack_serves_every_pass(dtype, monkeypatch):
     assert reused == [batch]
     for name, a in arrays.items():
         assert np.array_equal(a, before[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["none", "add", "dot"])
+def test_reused_pass_equals_a_fresh_one_after_late_parameters_change(mode, dtype):
+    # gradcheck perturbs w1, b1, w2, b2 and the head's arrays in passes that
+    # start from the FFN input cached by one unperturbed pass
+    model = build_model(TrainConfig(fusion_mode=mode, dim=8, max_len=8, seed=2),
+                        make_dataset(EXAMPLES), dtype=dtype)
+    batch = pack_batch(model, [tokenize(t, model.vocab, 8) for t in TEXTS])
+    start, (cache, _) = forward(model, batch)
+    ffn_input = cache.ffn_cache.x.copy()
+    heads = [p for p in model.parameters() if p.name.startswith("head.")]
+    for p in [model.enc.w1, model.enc.b2, *heads]:
+        p.value.reshape(-1)[0] += 0.25
+        reused, (reused_cache, _) = forward(model, batch, reuse=cache)
+        fresh = forward(model, batch)[0]
+        assert reused.dtype == dtype
+        assert np.array_equal(bits(reused), bits(fresh)), p.name
+        assert reused_cache.attn_cache is cache.attn_cache
+    assert not np.array_equal(reused, start)
+    assert np.array_equal(bits(cache.ffn_cache.x), bits(ffn_input))

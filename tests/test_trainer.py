@@ -597,6 +597,34 @@ class TestNoReferenceCycle:
             gc.enable()
 
 
+def resident_pages(a: np.ndarray) -> int:
+    """How many of the memory pages under `a` are resident, from the present
+    bit (63) of each page's /proc/self/pagemap entry."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    addr = a.__array_interface__["data"][0]
+    first, last = addr // page, (addr + a.nbytes - 1) // page
+    with open("/proc/self/pagemap", "rb") as f:
+        f.seek(8 * first)
+        entries = np.frombuffer(f.read(8 * (last - first + 1)), dtype="<u8")
+    return int((entries >> np.uint64(63)).sum())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"), reason="Linux page map only")
+def test_optimizer_state_stays_unmapped_until_written(trec6_train_path, tmp_path):
+    # a loaded model that only evaluates never writes its gradient or
+    # moments; from a reused heap chunk, calloc'd zeros would be resident
+    train_set = load_dataset(trec6_train_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(TrainConfig(fusion_mode="dot"), train_set), path)
+    model = load_checkpoint(path)
+    evaluate(model, train_set)
+    store = model.store
+    assert [resident_pages(a) for a in (store.grad, store.adam_m, store.adam_v)] == [0, 0, 0]
+    seqs, targets = labelmatch.trainer._tokenize_dataset(model, train_set)
+    batch_step(model, seqs[:32], targets[:32])
+    assert resident_pages(store.grad) > 0
+
+
 FAULTS_PER_STEP = textwrap.dedent("""
     import resource
     import labelmatch as lm
