@@ -30,7 +30,7 @@ from .fusion import (FUSION_MODES, FusionHead, head_template, score_backward,
                      score_forward, uses_labels)
 from .nncore import GradCheckReport, ParamTensor, finite_diff_check
 from .trainer import (Model, TrainConfig, _tokenize_dataset, batch_step, build_model, forward,
-                      pack_batch)
+                      pack_batch, read_rows)
 
 LAYER_THRESHOLD = 1e-6
 MODEL_THRESHOLD = 1e-3
@@ -238,13 +238,12 @@ def check_batch(op_name: str, model: Model, batch, targets) -> GradCheckReport:
     if not all(np.isfinite(p.grad).all() for p in params):
         return GradCheckReport(op_name=op_name, max_rel_err=math.inf)
     emb = model.enc.emb
-    read = np.zeros(len(emb.value), dtype=bool)
-    read[batch.ids] = True  # the forward's input, not the backward's output
+    read = read_rows(model, batch)  # the forward's input, not the backward's output
     # an unread row's central difference is exactly 0, so this is its error
-    g = np.abs(emb.grad[~read])
+    g = np.abs(np.delete(emb.grad, read, axis=0))
     unread_err = float((g / np.maximum(g, 1e-8)).max(initial=0.0))
     rows = []
-    for r in np.flatnonzero(read):
+    for r in read:
         rows.append(ParamTensor("emb", emb.value[r]))
         assert np.shares_memory(rows[-1].value, emb.value)  # perturbations reach the table
         rows[-1].grad[...] = emb.grad[r]

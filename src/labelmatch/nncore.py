@@ -79,13 +79,6 @@ class ParamTensor:
         self.name, self.value = name, value
         self.grad, self.adam_m, self.adam_v = (np.zeros(value.shape, value.dtype) for _ in range(3))
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0
-
     def __repr__(self) -> str:
         return f"ParamTensor({self.name!r}, shape={self.value.shape})"
 

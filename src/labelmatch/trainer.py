@@ -21,9 +21,10 @@ through the encoder in the same pass, packed in a stable length-sorted order
 that depends only on the batch; weight gradients sum fixed row chunks in
 order (nncore.weight_grad), so no BLAS thread count changes the bits. Every
 parameter lives in the model's ParamStore, a flat buffer each for values,
-gradients and both Adam moments. adam_step updates the embedding table
-row-sparsely and the rest of the store in ADAM_BLOCK-element blocks; each
-element sees a per-tensor update's operations in the same order.
+gradients and both Adam moments. batch_step returns the embedding rows its
+pack reads, and adam_step updates the table at those rows alone and the rest
+of the store in ADAM_BLOCK-element blocks; each element sees a per-tensor
+update's operations in the same order.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -314,43 +315,21 @@ def _adam_update(value, grad, m, v, lr: float, c1: float, c2: float, a, b) -> No
     value -= a
 
 
-def _touched_rows(grad: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows of a 2-D gradient with an entry != 0, so
-    NaN counts and -0.0 does not. The != 0 mask, its rows padded with False
-    to whole 64-bit words, is packed to bits, and a row is touched iff one of
-    its words is nonzero: one pass, where `.any(axis=1)` reduces row by row
-    (0.40 against 0.23 ms in a TREC6 step, 3-4x slower on a cached table).
-    """
-    n, width = grad.shape
-    words = -(-width // 64)
-    mask = np.empty((n, words * 64), dtype=bool)
-    np.not_equal(grad, 0, out=mask[:, :width])
-    mask[:, width:] = False
-    packed = np.packbits(mask.reshape(-1)).view(np.uint64).reshape(n, words)
-    hit = packed[:, 0]
-    for col in range(1, words):
-        hit = hit | packed[:, col]
-    return np.flatnonzero(hit)
+def adam_step(store: ParamStore, lr: float, t: int, rows: np.ndarray) -> None:
+    """Bias-corrected Adam update of `store`; zeroes the gradients it reads.
 
-
-def adam_step(store: ParamStore, lr: float, t: int) -> None:
-    """Bias-corrected Adam update of every parameter of `store`; zeroes grads after.
-
-    A leading matrix (`emb` in a model's store) is updated row-sparsely, as
-    LazyAdam does: a row whose gradient is all zero keeps its value and
-    moments, and the touched rows (an entry != 0, so NaN counts) use the
-    global step t. The rest of the store is updated in ADAM_BLOCK-element
-    blocks. All-or-nothing: touched rows and the rest, so the whole gradient,
-    are checked before any change.
+    The leading table (`emb` in a model's store) is updated at `rows` alone,
+    as LazyAdam does: each passed row takes the step-t update even if its
+    gradient is all zero; every other row is not read and keeps its value,
+    moments and gradient. batch_step returns the rows its pack reads, the
+    only rows its backward writes (gradcheck.check_batch checks that). The
+    rest of the store is updated in ADAM_BLOCK-element blocks. All-or-nothing:
+    the gradient at `rows` and of the rest is checked before any change.
     """
     if t < 1:
         raise TrainingError(f"step counter must be >= 1, got {t}")
     table = store.params[0]
-    if table.value.ndim == 2:
-        rows = _touched_rows(table.grad)
-        start = table.value.size   # the dense pass starts after the table
-    else:
-        rows, start = np.empty(0, dtype=np.intp), 0
+    start = table.value.size   # the dense pass starts after the table
     row_grad = table.grad[rows]
     if not (np.isfinite(row_grad).all() and np.isfinite(store.grad[start:]).all()):
         bad = next(p for p in store if not np.isfinite(p.grad).all())
@@ -378,6 +357,14 @@ def pack_batch(model: Model, seqs: list[TokenSeq]) -> Pack:
     return pack([*seqs, *(model.labels.token_seqs if uses_labels(model.head.mode) else ())])
 
 
+def read_rows(model: Model, batch: Pack) -> np.ndarray:
+    """The ascending, unique `emb` rows that `batch` reads, from a vocabulary-sized
+    bitmap over its ids (np.unique sorts and costs ten times as much)."""
+    read = np.zeros(len(model.enc.emb.value), dtype=bool)
+    read[batch.ids] = True
+    return np.flatnonzero(read)
+
+
 def forward(model: Model, batch: Pack, reuse: EncodeCache | None = None):
     """Logits (texts x K) from one encoder pass over a pack_batch pack (reuse: see encoder)."""
     k = model.labels.num_classes if uses_labels(model.head.mode) else 0
@@ -387,18 +374,21 @@ def forward(model: Model, batch: Pack, reuse: EncodeCache | None = None):
     return logits, (encode_cache, score_cache)
 
 
-def batch_step(model: Model, seqs: list[TokenSeq], targets: list[int]) -> list[float]:
+def batch_step(model: Model, seqs: list[TokenSeq],
+               targets: list[int]) -> tuple[list[float], np.ndarray]:
     """Forward/backward over one mini-batch; grads = mean over its examples.
 
-    Returns the per-example losses. Does not run the optimizer.
+    Returns the per-example losses and the `emb` rows the pass read
+    (read_rows), which adam_step updates. Does not run the optimizer.
     """
-    logits, (encode_cache, score_cache) = forward(model, pack_batch(model, seqs))
+    batch = pack_batch(model, seqs)
+    logits, (encode_cache, score_cache) = forward(model, batch)
     losses, d_logits = cross_entropy(logits, np.asarray(targets))
     d_logits *= 1.0 / len(seqs)
     d_t, d_labels = score_backward(d_logits, score_cache)
     encode_batch_backward(d_t if d_labels is None else np.concatenate([d_t, d_labels]),
                           encode_cache)
-    return losses.tolist()
+    return losses.tolist(), read_rows(model, batch)
 
 
 @dataclass
@@ -483,12 +473,12 @@ def train(config: TrainConfig, train_set: Dataset, eval_set: Dataset,
         epoch_losses: list[float] = []
         for lo in range(0, n, config.batch_size):
             batch_idx = perm[lo:lo + config.batch_size]
-            losses = batch_step(model,
-                                [train_seqs[i] for i in batch_idx],
-                                [train_targets[i] for i in batch_idx])
+            losses, rows = batch_step(model,
+                                      [train_seqs[i] for i in batch_idx],
+                                      [train_targets[i] for i in batch_idx])
             epoch_losses.extend(losses)
             step += 1
-            adam_step(model.store, config.learning_rate, step)
+            adam_step(model.store, config.learning_rate, step, rows)
         train_eval = evaluate_seqs(model, train_seqs, train_targets)
         test_eval = evaluate_seqs(model, eval_seqs, eval_targets)
         stats = EpochStats(epoch=epoch + 1,
@@ -660,10 +650,10 @@ def load_checkpoint(path, vocab: Vocabulary | None = None,
         stored_name = r.text()
         ndim = r.u64()
         stored_shape = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
-        if stored_name != p.name or stored_shape != p.shape:
+        if stored_name != p.name or stored_shape != p.value.shape:
             raise CheckpointError(
                 f"{path}: shape mismatch: stored {stored_name}{list(stored_shape)}, "
-                f"expected {p.name}{list(p.shape)}")
+                f"expected {p.name}{list(p.value.shape)}")
         p.value.reshape(-1)[...] = np.frombuffer(r.take(p.value.nbytes), dtype="<f4")
         if not np.isfinite(p.value).all():
             raise CheckpointError(f"{path}: non-finite value in parameter {p.name!r}")

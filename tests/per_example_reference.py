@@ -9,9 +9,9 @@ packed path against this in float64, where only the summation order
 differs.
 
 `adam_step` is the optimizer as one loop over parameter tensors, and over
-the rows of a leading matrix, which it updates only where the gradient row
-is not all zero. The flat pass keeps its elementwise arithmetic, so tests
-require bit-identical results from the two.
+the given rows of the leading matrix, the rows a batch reads, which it
+updates whatever their gradient. The flat pass keeps its elementwise
+arithmetic, so tests require bit-identical results from the two.
 
 `attention_forward`/`attention_backward` are the packed attention with every
 softmax step run once per run of equal-length segments. The library runs
@@ -161,22 +161,23 @@ def _adam_update(value, grad, m, v, lr, t, beta1, beta2, eps) -> None:
     value -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def adam_step(params, lr, t, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-    """Bias-corrected Adam, one tensor at a time; zeroes each grad after.
+def adam_step(params, lr, t, rows, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """Bias-corrected Adam, one tensor at a time; zeroes each grad it reads after.
 
-    A leading matrix is updated one row at a time, and a row whose gradient
-    is all zero is skipped, keeping its value and moments."""
-    for i, p in enumerate(params):
+    The leading matrix is updated one row at a time at `rows` alone, whatever
+    their gradient; every other row keeps its value, moments and gradient."""
+    table, *rest = params
+    for row in rows:
+        if not np.isfinite(table.grad[row]).all():
+            raise TrainingError(f"non-finite gradient in parameter {table.name!r}")
+        _adam_update(table.value[row], table.grad[row], table.adam_m[row], table.adam_v[row],
+                     lr, t, beta1, beta2, eps)
+        table.grad[row] = 0
+    for p in rest:
         if not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
-        if i == 0 and p.value.ndim == 2:
-            for row in range(p.value.shape[0]):
-                if (p.grad[row] != 0).any():
-                    _adam_update(p.value[row], p.grad[row], p.adam_m[row], p.adam_v[row],
-                                 lr, t, beta1, beta2, eps)
-        else:
-            _adam_update(p.value, p.grad, p.adam_m, p.adam_v, lr, t, beta1, beta2, eps)
-        p.zero_grad()
+        _adam_update(p.value, p.grad, p.adam_m, p.adam_v, lr, t, beta1, beta2, eps)
+        p.grad[...] = 0
 
 
 def attention_forward(x, segs, v):

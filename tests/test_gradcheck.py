@@ -44,13 +44,13 @@ class TestFullModel:
         model, seqs, batch, targets = _synthetic_instance(mode, dim=8, max_len=6,
                                                           vocab_size=50)
         for step in range(1, 31):
-            batch_step(model, seqs, targets)
-            adam_step(model.store, lr=1e-3, t=step)
+            _, rows = batch_step(model, seqs, targets)
+            adam_step(model.store, lr=1e-3, t=step, rows=rows)
         _nudge_relu_safe(model, batch, RELU_MARGIN)
         batch_step(model, seqs, targets)
         report = check_batch(f"trained_{mode}", model, batch, targets)
         for p in model.parameters():
-            p.zero_grad()
+            p.grad[...] = 0
         assert report.max_rel_err < MODEL_THRESHOLD
 
     def test_finite_differences_reuse_one_pack(self, monkeypatch):

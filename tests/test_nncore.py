@@ -28,7 +28,7 @@ class TestParamStore:
         assert store.value.shape == (11,) and store.value.dtype == np.float64
         a, s, b = store.params
         assert list(store) == [a, s, b]
-        assert (a.shape, s.shape, b.shape) == ((2, 3), (), (4,))
+        assert (a.value.shape, s.value.shape, b.value.shape) == ((2, 3), (), (4,))
         b.value[...] = 7.0
         b.grad[0] = 1.0
         np.testing.assert_array_equal(store.value[7:], 7.0)

@@ -91,40 +91,10 @@ def splitmix64_fisher_yates(n: int, seed: int) -> list[int]:
     return idx
 
 
-class TestTouchedRows:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("width", [4, 8, 64, 72])
-    def test_same_rows_as_any_nonzero(self, width, dtype):
-        rng = np.random.default_rng(width)
-        grad = np.zeros((40, width), dtype=dtype)
-        grad[[1, 7, 30]] = rng.normal(size=(3, width))
-        grad[2, width - 1] = np.nan                               # NaN counts
-        grad[5, 0] = np.finfo(dtype).smallest_subnormal           # so do denormals
-        grad[9, width // 2] = -np.finfo(dtype).smallest_subnormal
-        grad[[11, 12]] = -0.0                                     # -0.0 does not
-        grad[13, ::3] = -0.0
-        grad[13, 1] = 1e-30
-        grad[20, [0, width - 1]] = [-0.0, np.inf]
-        grad[39, width - 1] = 3.0                                 # the last entry
-        rows = labelmatch.trainer._touched_rows(grad)
-        expected = np.flatnonzero((grad != 0).any(axis=1))
-        assert expected.tolist() == [1, 2, 5, 7, 9, 13, 20, 30, 39]
-        assert rows.tolist() == expected.tolist()
-
-    def test_dense_and_empty(self):
-        rng = np.random.default_rng(2)
-        for width in (1, 63, 64, 65, 130):
-            grad = rng.normal(size=(17, width)).astype(np.float32)
-            grad[rng.random(grad.shape) < 0.97] = 0
-            expected = np.flatnonzero((grad != 0).any(axis=1))
-            assert labelmatch.trainer._touched_rows(grad).tolist() == expected.tolist()
-            assert labelmatch.trainer._touched_rows(np.zeros_like(grad)).size == 0
-
-
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
         store = store_of("p", np.array([1.0, -2.0], dtype=np.float32))
-        adam_step(store, lr=1e-3, t=1)
+        adam_step(store, lr=1e-3, t=1, rows=np.arange(2))
         np.testing.assert_array_equal(store.value, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
@@ -132,7 +102,7 @@ class TestAdamStep:
         # -lr / (1 + eps), within a hair of -1e-3
         store = store_of("p", [0.0])
         store.grad += 1.0
-        adam_step(store, lr=1e-3, t=1)
+        adam_step(store, lr=1e-3, t=1, rows=np.arange(1))
         assert abs(store.value[0] + 1e-3) < 1e-9
         assert (store.grad == 0).all()
 
@@ -142,15 +112,15 @@ class TestAdamStep:
         g = np.random.default_rng(0).normal(size=4)
         a.grad += g
         b.grad += -g
-        adam_step(a, lr=1e-3, t=1)
-        adam_step(b, lr=1e-3, t=1)
+        adam_step(a, lr=1e-3, t=1, rows=np.arange(4))
+        adam_step(b, lr=1e-3, t=1, rows=np.arange(4))
         np.testing.assert_array_equal(a.value, -b.value)
 
     def test_non_finite_gradient_names_parameter(self):
         store = ParamStore([("fine", (3,)), ("oddball", (2,))], dtype=np.float64)
         store.grad[...] = [1.0, 2.0, 3.0, 1.0, np.nan]
         with pytest.raises(TrainingError, match="'oddball'"):
-            adam_step(store, lr=1e-3, t=1)
+            adam_step(store, lr=1e-3, t=1, rows=np.arange(3))
 
     def test_non_finite_gradient_changes_nothing(self, toy_sets):
         # the first offending parameter in declaration order is named, and no
@@ -158,19 +128,20 @@ class TestAdamStep:
         train_set, _ = toy_sets
         model = build_model(TrainConfig(fusion_mode="dot", dim=8), train_set)
         params = model.parameters()
+        every_row = np.arange(len(model.vocab))
         rng = np.random.default_rng(3)
         for t in (1, 2, 3):
             for p in params:
-                p.grad[...] = rng.normal(size=p.shape)
-            adam_step(model.store, lr=1e-2, t=t)
+                p.grad[...] = rng.normal(size=p.value.shape)
+            adam_step(model.store, lr=1e-2, t=t, rows=every_row)
         for p in params:
-            p.grad[...] = rng.normal(size=p.shape)
+            p.grad[...] = rng.normal(size=p.value.shape)
         model.enc.b2.grad[1] = np.inf
         model.head.log_scale.grad[0] = np.nan
         before = [[getattr(p, a).copy() for a in ("value", "grad", "adam_m", "adam_v")]
                   for p in params]
         with pytest.raises(TrainingError, match="'b2'"):
-            adam_step(model.store, lr=1e-2, t=4)
+            adam_step(model.store, lr=1e-2, t=4, rows=every_row)
         for p, saved in zip(params, before):
             for a, old in zip(("value", "grad", "adam_m", "adam_v"), saved):
                 assert np.array_equal(bits(getattr(p, a)), bits(old)), (p.name, a)
@@ -182,13 +153,13 @@ class TestAdamStep:
         table, bias = store.params
         for t in range(1, 4):
             store.grad[...] = rng.normal(size=store.grad.size)
-            adam_step(store, lr=1e-2, t=t)
+            adam_step(store, lr=1e-2, t=t, rows=np.arange(6))
         saved = {a: getattr(table, a)[2].copy() for a in ("value", "adam_m", "adam_v")}
         moved = table.value[3].copy()
         for t in range(4, 24):
             table.grad[[0, 1, 3, 4, 5]] = rng.normal(size=(5, 4))
             bias.grad[...] = rng.normal(size=3)
-            adam_step(store, lr=1e-2, t=t)
+            adam_step(store, lr=1e-2, t=t, rows=np.array([0, 1, 3, 4, 5]))
         for a, old in saved.items():
             assert np.array_equal(bits(getattr(table, a)[2]), bits(old)), a
         assert not np.array_equal(table.value[3], moved)
@@ -199,22 +170,48 @@ class TestAdamStep:
         params = model.parameters()
         rng = np.random.default_rng(6)
         for p in params[1:]:
-            p.grad[...] = rng.normal(size=p.shape)
+            p.grad[...] = rng.normal(size=p.value.shape)
         model.enc.emb.grad[0] = rng.normal(size=8)
         model.enc.emb.grad[3, 5] = np.nan  # the rest of row 3 is zero
         before = [[getattr(p, a).copy() for a in ("value", "grad", "adam_m", "adam_v")]
                   for p in params]
         with pytest.raises(TrainingError, match="'emb'"):
-            adam_step(model.store, lr=1e-2, t=1)
+            adam_step(model.store, lr=1e-2, t=1, rows=np.array([0, 3]))
         for p, saved in zip(params, before):
             for a, old in zip(("value", "grad", "adam_m", "adam_v"), saved):
                 assert np.array_equal(bits(getattr(p, a)), bits(old)), (p.name, a)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_passed_rows_take_the_update_whatever_their_gradient(self, dtype):
+        # LazyAdam's rule: a passed row with an all-zero gradient still
+        # decays its moments and moves by the remaining momentum; a row not
+        # passed is not read, so its value, moments and gradient keep their bits
+        store = ParamStore([("emb", (4, 3)), ("b", (2,))], dtype=dtype)
+        rng = np.random.default_rng(9)
+        store.value[...] = rng.normal(size=store.value.size)
+        table = store.params[0]
+        for t in (1, 2):
+            store.grad[...] = rng.normal(size=store.grad.size)
+            adam_step(store, lr=1e-2, t=t, rows=np.arange(4))
+        store.grad[...] = rng.normal(size=store.grad.size)
+        table.grad[1] = 0
+        before = {a: getattr(table, a).copy() for a in ("value", "grad", "adam_m", "adam_v")}
+        adam_step(store, lr=1e-2, t=3, rows=np.array([0, 1]))
+        m, v = before["adam_m"][1] * 0.9, before["adam_v"][1] * 0.999
+        assert np.array_equal(table.adam_m[1], m) and np.array_equal(table.adam_v[1], v)
+        step = m / (1 - 0.9**3) * 1e-2 / (np.sqrt(v / (1 - 0.999**3)) + 1e-8)
+        assert np.array_equal(table.value[1], before["value"][1] - step)
+        assert (table.value[1] != before["value"][1]).all()
+        assert not (table.grad[:2]).any()
+        for a, old in before.items():
+            assert np.array_equal(bits(getattr(table, a)[2:]), bits(old[2:])), a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_per_tensor_reference_bitwise(self, dtype):
         # a tensor straddles the first block boundary and the store ends in
         # a partial block; every third row of the leading matrix, a
-        # different third each step, gets no gradient and is skipped
+        # different third each step, gets no gradient and is not passed, and
+        # one passed row gets no gradient either
         shapes = [("a", (300, 257)), ("b", (7,)), ("c", (1,))]
         store = ParamStore(shapes, dtype=dtype)
         assert store.value.size > ADAM_BLOCK and store.value.size % ADAM_BLOCK
@@ -227,14 +224,38 @@ class TestAdamStep:
             grad = (rng.normal(size=store.value.size) * scale).astype(dtype)
             grad[rng.random(grad.size) < 0.1] = 0
             grad[:300 * 257].reshape(300, 257)[t % 3::3] = 0
+            grad[:300 * 257].reshape(300, 257)[t % 3 + 1] = 0
+            rows = np.flatnonzero(np.arange(300) % 3 != t % 3)
             store.grad[...] = grad
             for p, lo in zip(singles, offsets):
-                p.grad[...] = grad[lo:lo + p.value.size].reshape(p.shape)
-            adam_step(store, lr=1e-3, t=t)
-            reference.adam_step(singles, lr=1e-3, t=t)
+                p.grad[...] = grad[lo:lo + p.value.size].reshape(p.value.shape)
+            adam_step(store, lr=1e-3, t=t, rows=rows)
+            reference.adam_step(singles, lr=1e-3, t=t, rows=rows)
             for p, q in zip(store.params, singles):
                 for a in ("value", "adam_m", "adam_v", "grad"):
                     assert np.array_equal(bits(getattr(p, a)), bits(getattr(q, a))), (t, p.name, a)
+
+
+class TestBatchStep:
+    @pytest.mark.parametrize("mode", ["none", "add", "dot"])
+    def test_returns_the_rows_its_pack_reads(self, toy_sets, mode):
+        # the label phrases' tokens are read only when the head reads labels
+        train_set, _ = toy_sets
+        model = build_model(TrainConfig(fusion_mode=mode, dim=8), train_set)
+        seqs, targets = labelmatch.trainer._tokenize_dataset(model, train_set)
+        text_ids = {int(i) for seq in seqs for i in seq.ids[:seq.true_len]}
+        label_only = {int(i) for seq in model.labels.token_seqs
+                      for i in seq.ids[:seq.true_len]} - text_ids
+        assert label_only
+        losses, rows = batch_step(model, seqs, targets)
+        assert len(losses) == len(seqs)
+        assert rows.tolist() == np.unique(pack_batch(model, seqs).ids).tolist()
+        read = set(rows.tolist())
+        if mode == "none":
+            assert not label_only & read
+        else:
+            assert label_only <= read
+        assert not np.delete(model.enc.emb.grad, rows, axis=0).any()
 
 
 class TestInitParams:
@@ -356,9 +377,9 @@ class TestTrain:
             batch = train_set.examples[:32]
             seqs = [tokenize(ex.text, model.vocab, config.max_len) for ex in batch]
             targets = [index[ex.label_name] for ex in batch]
-            losses = batch_step(model, seqs, targets)
+            losses, _ = batch_step(model, seqs, targets)
             for p in model.parameters():
-                p.zero_grad()
+                p.grad[...] = 0
             assert abs(sum(losses) / len(losses) - math.log(k)) < 0.1
 
     def test_history_entries_per_epoch(self, toy_sets):
@@ -395,8 +416,8 @@ class TestPredictLogits:
         seqs, targets = labelmatch.trainer._tokenize_dataset(model, train_set)
         model.predict_logits(seqs[0])
         for t in range(1, 6):
-            batch_step(model, seqs, targets)
-            adam_step(model.store, lr=1e-2, t=t)
+            _, rows = batch_step(model, seqs, targets)
+            adam_step(model.store, lr=1e-2, t=t, rows=rows)
         expected, _ = forward(model, pack_batch(model, [seqs[0]]))
         assert np.array_equal(bits(model.predict_logits(seqs[0])), bits(expected[0]))
 
@@ -640,10 +661,10 @@ FAULTS_PER_STEP = textwrap.dedent("""
         global step
         for _ in range(steps):
             lo = step * config.batch_size
-            batch_step(model, seqs[lo:lo + config.batch_size],
-                       targets[lo:lo + config.batch_size])
+            _, rows = batch_step(model, seqs[lo:lo + config.batch_size],
+                                 targets[lo:lo + config.batch_size])
             step += 1
-            adam_step(model.store, config.learning_rate, step)
+            adam_step(model.store, config.learning_rate, step, rows)
 
     run(20)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
