@@ -3,29 +3,25 @@
 Exit codes are a stable contract: 0 success, 1 usage error, 2 data or file
 error, 3 verification failure.
 
-cmd_train writes three files next to --out PATH: the checkpoint itself, a
+cmd_train writes two files next to --out PATH: the checkpoint itself and a
 history CSV at PATH.history.csv (no header; one `epoch,train_loss,
-train_acc,test_acc` line per epoch), and a run manifest at
-PATH.manifest.json recording the config, dataset paths with sha256 content
-hashes, and timestamps. It checks that --out can be written before the
-first epoch, so a bad path exits 2 without training. The manifest is a
-provenance record; nothing reads it. cmd_eval builds the model from the
-checkpoint alone, which holds the vocabulary, the labels and their phrases
-behind a sha256 trailer, and reads only the checkpoint and the test TSV.
+train_acc,test_acc` line per epoch). It checks that --out can be written
+before the first epoch, so a bad path exits 2 without training; cmd_ablation
+checks its --out reports the same way. cmd_eval builds the model from the
+checkpoint alone, which holds the config, the vocabulary, the labels and
+their phrases behind a sha256 trailer, and reads only the checkpoint and the
+test TSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
-import json
 import os
 import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from .corpus import dataset_stats, load_dataset, load_verbalizer
@@ -71,14 +67,6 @@ def _bounded_int(name: str, lo: int, hi: int):
     return parse
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _load_pair(train_path, test_path, verbalizer_path):
     train_set = load_dataset(train_path, split="train")
     test_set = load_dataset(test_path, split="test")
@@ -101,39 +89,25 @@ def _write_history(path, history) -> None:
             f.write(_epoch_line(row) + "\n")
 
 
-def _write_manifest(path, args, config: TrainConfig, started: float) -> None:
-    manifest = {
-        "config": asdict(config),
-        "train_path": str(Path(args.train).resolve()),
-        "train_sha256": _sha256(args.train),
-        "test_path": str(Path(args.test).resolve()),
-        "test_sha256": _sha256(args.test),
-        "verbalizer_path": str(Path(args.verbalizer).resolve()) if args.verbalizer else None,
-        "verbalizer_sha256": _sha256(args.verbalizer) if args.verbalizer else None,
-        "checkpoint_path": str(Path(args.out).resolve()),
-        "started_unix": started,
-        "finished_unix": time.time(),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-
-
-def _check_writable(path) -> None:
-    """Raise the OSError that writing the checkpoint and its two companion
-    files would meet: a directory at `path`, or a directory that does not
-    take new files."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
-        pass
+def _check_writable(*paths) -> None:
+    """Raise the OSError that writing a new file at each of `paths` (the
+    checkpoint and its history file, or the ablation reports) would meet: a
+    directory in its place, or a directory that does not take new files."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        try:
+            with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
+                pass
+        except OSError as exc:   # name `path`, not the probe file
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
 def cmd_train(args) -> int:
-    started = time.time()
     train_set, test_set, verbalizer = _load_pair(args.train, args.test, args.verbalizer)
     config = _config_from_args(args, fusion_mode=args.fusion, seed=args.seed)
-    _check_writable(args.out)  # fail before training, not after it
+    history_path = f"{args.out}.history.csv"
+    _check_writable(args.out, history_path)  # fail before training, not after it
 
     def progress(stats):
         print(f"epoch={stats.epoch} train_loss={stats.train_loss:.4f} "
@@ -142,8 +116,7 @@ def cmd_train(args) -> int:
 
     model, history = train(config, train_set, test_set, verbalizer, progress=progress)
     save_checkpoint(model, args.out)
-    _write_history(f"{args.out}.history.csv", history)
-    _write_manifest(f"{args.out}.manifest.json", args, config, started)
+    _write_history(history_path, history)
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -227,17 +200,18 @@ def render_ablation(dataset: str, seeds, results) -> tuple[str, str]:
 
 def cmd_ablation(args) -> int:
     dataset = Path(args.train).name.split(".")[0]
+    reports = [f"{args.out}{suffix}" for suffix in (".txt", ".csv", ".epochs.csv") if args.out]
+    _check_writable(*reports)  # fail before training, not after it
     results, curves = run_ablation(args)
     table, csv = render_ablation(dataset, args.seeds, results)
     print(table)
-    if args.out:
+    if reports:
         epochs = ["fusion_method,seed,epoch,train_loss,train_acc,test_acc"]
         epochs += [f"{name},{seed},{_epoch_line(row)}" for _, name, mode in ABLATION_ROWS
                    for seed in args.seeds for row in curves[(mode, seed)]]
-        Path(f"{args.out}.txt").write_text(table + "\n", encoding="utf-8")
-        Path(f"{args.out}.csv").write_text(csv + "\n", encoding="utf-8")
-        Path(f"{args.out}.epochs.csv").write_text("\n".join(epochs) + "\n", encoding="utf-8")
-        print(f"report written to {args.out}.txt / {args.out}.csv / {args.out}.epochs.csv")
+        for path, text in zip(reports, (table, csv, "\n".join(epochs))):
+            Path(path).write_text(text + "\n", encoding="utf-8")
+        print(f"report written to {' / '.join(reports)}")
     return 0
 
 
@@ -301,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4], help="distinct seeds")
     p.add_argument("--jobs", type=_bounded_int("jobs", 1, 64), default=1,
                    help="run configurations concurrently")
-    p.add_argument("--out", default=None, help="basename for the .txt/.csv report")
+    p.add_argument("--out", default=None, help="basename for the .txt/.csv/.epochs.csv reports")
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks, float64")

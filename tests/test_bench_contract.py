@@ -2,12 +2,14 @@
 never modified): the functions it wraps exist, training reaches the two
 step-boundary functions through module globals, once per optimizer step,
 adam_step's first argument iterates to the parameters whose bytes the tracer
-sums, and the benchmark's own self-test runs every workload on this program."""
+sums, the benchmark's own self-test runs every workload on this program, and
+no output check of the benchmark fails but the one tiny data cannot meet."""
 
 import importlib
 import importlib.util
 import inspect
 import math
+import re
 from pathlib import Path
 
 import labelmatch.trainer
@@ -84,3 +86,16 @@ def test_benchmark_selftest():
     # the same calls the benchmark makes
     selftest = load_by_path(PERFBENCH / "selftest.py")
     selftest.test_every_metric_with_its_unit_and_no_wrapper_left()
+
+
+def test_benchmark_output_checks_pass():
+    # the self-test allows failed checks; the benchmark refuses a change that
+    # fails one (outputs_incorrect). Only the loss check is out of reach on
+    # the tiny truncated data, where a few steps need not get below ln K.
+    selftest = load_by_path(PERFBENCH / "selftest.py")   # imports run.py as `bench`
+    for workload in selftest.SPEC["workloads"]:
+        _, record = selftest.bench.run_workload(workload["name"], seed=7, seconds=0.1,
+                                                trace=False, tiny=True, keep_spans=False)
+        for failure in record["failures"]:
+            assert re.fullmatch(r"(none|add|dot): last-epoch mean loss \S+ not below "
+                                r"ln K = \S+", failure), (workload["name"], failure)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import labelmatch.cli
 import labelmatch.nncore
 from conftest import (EMBED_BACKWARD_CORRUPTIONS, checkpoint_body, corrupt_embed_backward,
                       last_row_set_to, write_sealed)
@@ -97,19 +98,19 @@ class TestStats:
 
 
 class TestTrainCommand:
-    def test_writes_checkpoint_history_manifest(self, toy_files, tmp_path, capsys):
+    def test_writes_the_checkpoint_and_its_history_alone(self, toy_files, tmp_path, capsys):
         train, test = toy_files
-        out = tmp_path / "model.ckpt"
+        run = tmp_path / "run"
+        run.mkdir()
         code = run_cli("train", "--train", train, "--test", test, "--fusion", "dot",
-                       "--dim", "8", "--epochs", "3", "--seed", "1", "--out", out)
+                       "--dim", "8", "--epochs", "3", "--seed", "1", "--out", run / "model.ckpt")
         assert code == 0
-        history = (tmp_path / "model.ckpt.history.csv").read_text().splitlines()
+        # no run manifest, and no temporary file left by the atomic write
+        assert sorted(os.listdir(run)) == ["model.ckpt", "model.ckpt.history.csv"]
+        history = (run / "model.ckpt.history.csv").read_text().splitlines()
         assert len(history) == 3  # one line per epoch, no header
         for line in history:
             assert re.fullmatch(r"\d+,\d+\.\d{6},\d+\.\d{6},\d+\.\d{6}", line)
-        manifest = json.loads((tmp_path / "model.ckpt.manifest.json").read_text())
-        assert manifest["config"]["fusion_mode"] == "dot"
-        assert len(manifest["train_sha256"]) == 64
 
     def test_zero_epochs_checkpoint_equals_initialization(self, toy_files, tmp_path):
         train, test = toy_files
@@ -192,7 +193,7 @@ class TestEvalCommand:
         moved.mkdir()
         shutil.copyfile(out, moved / "model.ckpt")
         shutil.copyfile(test, moved / "test.tsv")
-        for path in (train, verbalizer, Path(f"{out}.manifest.json")):
+        for path in (train, verbalizer):
             path.unlink()
         assert run_cli("eval", "--checkpoint", moved / "model.ckpt",
                        "--test", moved / "test.tsv") == 0
@@ -320,15 +321,19 @@ class TestUnreadableInput:
 
     @pytest.mark.parametrize("out, message", [(".", "Is a directory"),
                                               ("missing/model.ckpt", "No such file"),
-                                              ("a-file/model.ckpt", "Not a directory")],
-                             ids=["directory", "missing-directory", "file-as-directory"])
+                                              ("a-file/model.ckpt", "Not a directory"),
+                                              ("busy.ckpt", "Is a directory")],
+                             ids=["directory", "missing-directory", "file-as-directory",
+                                  "directory-as-history"])
     def test_train_refuses_out_before_the_first_epoch(self, trec6_train_path, trec6_test_path,
                                                       tmp_path, capsys, out, message):
         (tmp_path / "a-file").write_text("", encoding="utf-8")
+        (tmp_path / "busy.ckpt.history.csv").mkdir()
         assert run_cli("train", "--train", trec6_train_path, "--test", trec6_test_path,
                        "--epochs", "1", "--out", tmp_path / out) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
+        assert str(tmp_path / out) in captured.err
         assert "Traceback" not in captured.err
         assert "epoch=" not in captured.out
 
@@ -506,6 +511,26 @@ class TestAblationCommand:
         assert captured.err.startswith("error: --seeds repeats 0")
         assert "done fusion=" not in captured.out
         assert list(tmp_path.glob("report*")) == []
+
+    @pytest.mark.parametrize("out, message", [("missing/report", "No such file"),
+                                              ("report", "Is a directory")],
+                             ids=["missing-directory", "directory-as-report"])
+    def test_out_refused_before_training(self, toy_files, tmp_path, capsys, monkeypatch,
+                                         out, message):
+        (tmp_path / "report.txt").mkdir()
+
+        def no_pool(args):
+            pytest.fail("run_ablation started with an unwritable --out")
+
+        monkeypatch.setattr(labelmatch.cli, "run_ablation", no_pool)
+        train, test = toy_files
+        assert run_cli("ablation", "--train", train, "--test", test, "--dim", "8",
+                       "--epochs", "1", "--seeds", "0", "1", "--out", tmp_path / out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert f"{tmp_path / out}.txt" in captured.err
+        assert "Traceback" not in captured.err
+        assert "done fusion=" not in captured.out
 
     def test_seed_prefix_selects_the_seeds_to_train(self):
         # ablation has no --seed of its own; argparse resolves the prefix to --seeds
