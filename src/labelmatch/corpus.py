@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -133,9 +134,7 @@ def build_vocab(dataset: Dataset, min_freq: int = 1,
     """
     if min_freq < 1:
         raise DataError(f"min_freq must be >= 1, got {min_freq}")
-    counts: Counter[str] = Counter()
-    for ex in dataset.examples:
-        counts.update(_tokens(ex.text))
+    counts = Counter(chain.from_iterable(_tokens(ex.text) for ex in dataset.examples))
     for text in extra_texts:
         for token in _tokens(text):
             counts[token] += min_freq
@@ -150,20 +149,26 @@ def build_vocab(dataset: Dataset, min_freq: int = 1,
 def tokenize_texts(texts: list[str], vocab: Vocabulary, max_len: int) -> list[TokenSeq]:
     """Lowercase, split on whitespace, map through `vocab`, truncate, pad.
 
-    One (len(texts), max_len) id array is filled row by row, one text's words
-    at a time; each returned TokenSeq's ids are a view of its row.
+    Every text's ids are read into one flat array first (streamed, so no
+    text's word list outlives its turn); then one boolean mask over a
+    (len(texts), max_len) id array takes them all at once, in row order.
+    Each returned TokenSeq's ids are a view of its row.
     """
     if max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
-    ids = np.full((len(texts), max_len), PAD_ID, dtype=np.int64)
-    seqs = []
-    for row, text in zip(ids, texts):
+    lengths = []
+
+    def ids_of(text):
         words = _tokens(text)[:max_len]
-        if not words:
-            raise DataError("cannot tokenize empty text")
-        row[:len(words)] = [vocab.id_of.get(w, UNK_ID) for w in words]
-        seqs.append(TokenSeq(ids=row, true_len=len(words)))
-    return seqs
+        lengths.append(len(words))
+        return map(vocab.id_of.get, words, repeat(UNK_ID))
+
+    flat = np.fromiter(chain.from_iterable(map(ids_of, texts)), dtype=np.int64)
+    if 0 in lengths:
+        raise DataError("cannot tokenize empty text")
+    ids = np.full((len(texts), max_len), PAD_ID, dtype=np.int64)
+    ids[np.arange(max_len) < np.array(lengths, dtype=np.int64)[:, None]] = flat
+    return [TokenSeq(ids=row, true_len=n) for row, n in zip(ids, lengths)]
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenSeq:

@@ -9,7 +9,8 @@ relative error is |g| / max(|g|, 1e-8): check_batch perturbs only the read
 rows (and every other parameter) and takes the maximum with that, the same
 bits as perturbing every coordinate. A perturbed w1, b1, w2, b2 or head array
 leaves the FFN input as it was, so those passes start at the FFN from one
-unperturbed pass's cache (`reuse`), again with the same bits. Central
+unperturbed pass's cache (`reuse`), again with the same bits. Every such
+pass computes the mean loss alone (`batch_loss`, one log_softmax). Central
 differences are meaningless at a relu kink, so every check with a relu shifts
 a bias (or, for the additive head's layer check, a label column) by
 `_min_shift` until every preactivation (FFN hidden units, and the fused
@@ -222,10 +223,12 @@ def _synthetic_instance(mode: str, dim: int, max_len: int, vocab_size: int):
 
 
 def batch_loss(model: Model, batch, targets, reuse=None) -> float:
-    """Mean cross-entropy of a pack_batch pack, forward pass only; `reuse` as in forward."""
+    """Mean cross-entropy of a pack_batch pack, forward pass only; `reuse` as in
+    forward. The loss alone, with the bits of cross_entropy's mean: no logits
+    gradient, and `targets` (class indices) are not range-checked here."""
     logits, _ = forward(model, batch, reuse)
-    losses, _ = nncore.cross_entropy(logits, np.asarray(targets))
-    return float(losses.mean())
+    logp = nncore.log_softmax(logits)
+    return (0.0 - float(logp[np.arange(len(logp)), targets].sum())) / len(logp)
 
 
 def check_batch(op_name: str, model: Model, batch, targets) -> GradCheckReport:
@@ -233,7 +236,10 @@ def check_batch(op_name: str, model: Model, batch, targets) -> GradCheckReport:
     analytic gradient already in their grads, perturbing of `emb` only the
     rows the pack reads (one view of the table per row). The parameters from
     w1 on cannot move the FFN input, so their forwards reuse the unperturbed
-    pass's cache and start at the FFN; every loss keeps its bits."""
+    pass's cache and start at the FFN; every loss keeps its bits. The targets
+    are range-checked once, before the first forward."""
+    targets = np.asarray(targets)
+    nncore.check_targets(targets, model.labels.num_classes)
     params = model.parameters()
     if not all(np.isfinite(p.grad).all() for p in params):
         return GradCheckReport(op_name=op_name, max_rel_err=math.inf)

@@ -330,6 +330,20 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax of a (B, K) array, shifted by each row's max."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
+
+
+def check_targets(targets: np.ndarray, k: int) -> None:
+    """DataError unless every target is a class index in [0, k)."""
+    bad = targets[(targets < 0) | (targets >= k)]
+    if bad.size:
+        raise DataError(f"target {int(bad[0])} out of range for {k} classes")
+
+
 def cross_entropy(logits: np.ndarray, target):
     """Returns (loss, d_loss/d_logits) for loss = -log softmax(logits)[target].
 
@@ -338,15 +352,11 @@ def cross_entropy(logits: np.ndarray, target):
     """
     z = np.atleast_2d(logits)
     targets = np.atleast_1d(target)
-    k = z.shape[1]
-    bad = targets[(targets < 0) | (targets >= k)]
-    if bad.size:
-        raise DataError(f"target {int(bad[0])} out of range for {k} classes")
+    check_targets(targets, z.shape[1])
     rows = np.arange(z.shape[0])
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = log_z - shifted[rows, targets]
-    grad = np.exp(shifted - log_z[:, None])
+    logp = log_softmax(z)
+    loss = 0.0 - logp[rows, targets]   # not -logp: a certain class's loss is +0.0
+    grad = np.exp(logp)
     grad[rows, targets] -= 1
     if np.ndim(logits) == 1:
         return float(loss[0]), grad[0]

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ class TestBuildVocab:
         assert time.monotonic() - started < 1.0
         assert vocab.tokens == ("<pad>", "<unk>", "rare", "phrase")
 
+    @pytest.mark.parametrize("min_freq", [1, 2])
+    @pytest.mark.parametrize("name", ["trec6", "atis"])
+    def test_one_count_equals_the_per_example_loop(self, data_dir, name, min_freq):
+        ds = load_dataset(data_dir / f"{name}.train.tsv")
+        phrases = [verbalize_label(label) for label in ds.label_names]
+        # the counting loop that build_vocab ran before its one chained count
+        counts = Counter()
+        for ex in ds.examples:
+            counts.update(ex.text.lower().split())
+        for text in phrases:
+            for token in text.lower().split():
+                counts[token] += min_freq
+        kept = sorted((t for t, c in counts.items() if c >= min_freq),
+                      key=lambda t: (-counts[t], t))
+        assert build_vocab(ds, min_freq, phrases).tokens == ("<pad>", "<unk>", *kept)
+
 
 class TestTokenize:
     def test_reference_sentence_token_count(self):
@@ -185,6 +202,23 @@ class TestTokenizeTexts:
         base = seqs[0].ids.base
         assert base is not None and base.shape == (len(self.TEXTS), 8)
         assert all(s.ids.base is base for s in seqs)
+
+    @pytest.mark.parametrize("max_len", [2, 8, 32])
+    @pytest.mark.parametrize("name", ["trec6", "atis"])
+    def test_equals_the_row_by_row_fill(self, data_dir, name, max_len):
+        texts = [ex.text for ex in load_dataset(data_dir / f"{name}.test.tsv").examples]
+        vocab = build_vocab(load_dataset(data_dir / f"{name}.train.tsv"))
+        # the fill that tokenize_texts ran before its one masked assignment
+        ids = np.full((len(texts), max_len), PAD_ID, dtype=np.int64)
+        lengths = []
+        for row, text in zip(ids, texts):
+            words = text.lower().split()[:max_len]
+            row[:len(words)] = [vocab.id_of.get(w, UNK_ID) for w in words]
+            lengths.append(len(words))
+        seqs = tokenize_texts(texts, vocab, max_len)
+        assert [s.true_len for s in seqs] == lengths
+        assert np.array_equal(np.stack([s.ids for s in seqs]), ids)
+        assert UNK_ID in ids  # the test split holds words the train split lacks
 
     def test_empty_text_and_zero_max_len_rejected(self):
         vocab = build_vocab(make_dataset([Example("X", "a")]))

@@ -6,13 +6,15 @@ import pytest
 
 import labelmatch.gradcheck
 import labelmatch.nncore
+import labelmatch.trainer
 from conftest import (EMBED_BACKWARD_CORRUPTIONS, LATE_BACKWARD_CORRUPTIONS, corrupt_backward,
                       corrupt_embed_backward, last_row_set_to)
 from labelmatch.gradcheck import (LAYER_THRESHOLD, MODEL_THRESHOLD, RELU_MARGIN,
                                   _nudge_relu_safe, _synthetic_instance,
                                   batch_loss, check_batch, check_full_model, run_all)
-from labelmatch.nncore import finite_diff_check
-from labelmatch.trainer import adam_step, batch_step
+from labelmatch.errors import DataError
+from labelmatch.nncore import cross_entropy, finite_diff_check
+from labelmatch.trainer import adam_step, batch_step, forward
 
 
 def all_coordinate_check(mode, vocab_size, dim=8, max_len=6):
@@ -149,6 +151,51 @@ class TestFullModel:
             late = sum(p.value.size for p in params[params.index(model.enc.w1):])
             assert sum(calls) == 1 + 2 * late
         assert counts[0] == counts[1] == counts[2], counts
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("mode", ["none", "add", "dot"])
+    def test_bits_equal_the_cross_entropy_mean(self, mode):
+        model, _, batch, targets = _synthetic_instance(mode, dim=8, max_len=6, vocab_size=50)
+        _, (cache, _) = forward(model, batch)
+        rng = np.random.default_rng(3)
+        late = model.parameters()[model.parameters().index(model.enc.w1):]
+        for _ in range(20):
+            for p in late:  # moves the loss, not the cached FFN input
+                p.value += rng.normal(scale=0.05, size=p.value.shape)
+            for reuse in (None, cache):
+                logits, _ = forward(model, batch, reuse)
+                expected = float(cross_entropy(logits, np.asarray(targets))[0].mean())
+                assert batch_loss(model, batch, targets, reuse).hex() == expected.hex()
+
+    def test_no_finite_difference_forward_calls_cross_entropy(self, monkeypatch):
+        real = labelmatch.nncore.cross_entropy
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(labelmatch.nncore, "cross_entropy", counted)
+        monkeypatch.setattr(labelmatch.trainer, "cross_entropy", counted)
+        check_full_model("dot")
+        assert len(calls) == 1  # batch_step's, for the analytic gradient
+
+    @pytest.mark.parametrize("bad", ["negative", "K"])
+    def test_out_of_range_target_is_refused_before_any_forward(self, bad, monkeypatch):
+        model, seqs, batch, targets = _synthetic_instance("add", dim=8, max_len=6,
+                                                          vocab_size=50)
+        batch_step(model, seqs, targets)
+        k = model.labels.num_classes
+        targets = [targets[0], -1 if bad == "negative" else k, targets[2]]
+
+        def unreachable(*args):
+            raise AssertionError("a forward ran before the targets were checked")
+
+        monkeypatch.setattr(labelmatch.gradcheck, "batch_loss", unreachable)
+        monkeypatch.setattr(labelmatch.gradcheck, "forward", unreachable)
+        with pytest.raises(DataError, match=f"out of range for {k} classes"):
+            check_batch("full_model_add", model, batch, targets)
 
 
 class TestRunAll:

@@ -274,6 +274,50 @@ class TestCrossEntropy:
             loss, _ = cross_entropy(logits, int(rng.integers(0, 4)))
             assert loss >= 0
 
+    @staticmethod
+    def explicit_log_z(z, targets):
+        """The formula cross_entropy used before it read log_softmax."""
+        rows = np.arange(z.shape[0])
+        shifted = z - z.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1))
+        loss = log_z - shifted[rows, targets]
+        grad = np.exp(shifted - log_z[:, None])
+        grad[rows, targets] -= 1
+        return loss, grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_equal_the_explicit_log_z_formula(self, dtype):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            b, k = int(rng.integers(1, 40)), int(rng.integers(2, 23))
+            z = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=(b, k)).astype(dtype)
+            z[rng.random(size=(b, k)) < 0.1] = 1e4   # certain classes: some losses are 0
+            z[rng.random(size=(b, k)) < 0.1] = -1e4  # exp underflows to 0
+            targets = rng.integers(0, k, size=b)
+            loss, grad = cross_entropy(z, targets)
+            ref_loss, ref_grad = self.explicit_log_z(z, targets)
+            assert loss.dtype == grad.dtype == dtype
+            assert loss.tobytes() == ref_loss.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+            one_loss, one_grad = cross_entropy(z[0], int(targets[0]))
+            assert isinstance(one_loss, float)
+            assert one_loss.hex() == float(ref_loss[0]).hex()
+            assert one_grad.tobytes() == ref_grad[0].tobytes()
+
+    def test_log_softmax_rows(self):
+        z = np.array([[0.0, 0.0], [1e4, 0.0], [1.0, 2.0]])
+        logp = nncore.log_softmax(z)
+        np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, rtol=1e-15)
+        assert logp[0, 0] == logp[0, 1] == -math.log(2)
+        assert logp[1, 0] == 0.0 and logp[1, 1] == -1e4
+        assert logp[2, 1] - logp[2, 0] == 1.0
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_batch_target_out_of_range(self, target):
+        # a negative index would wrap silently
+        with pytest.raises(DataError, match=f"target {target} out of range for 3 classes"):
+            cross_entropy(np.zeros((2, 3)), np.array([0, target]))
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_gradient(self):
