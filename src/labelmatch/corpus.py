@@ -1,7 +1,7 @@
 """Dataset ingestion, vocabulary construction, and tokenization.
 
 The on-disk format is UTF-8 TSV with LF line endings, one `label<TAB>text`
-example per line.
+example per line; a leading byte-order mark is skipped.
 
 Tokenization is lowercased splitting on Unicode whitespace. Vocabulary ids
 are contiguous, with id 0 reserved for padding and id 1 for unknown tokens,
@@ -88,7 +88,7 @@ def make_dataset(examples: Iterable[Example], split: str = "train") -> Dataset:
 def load_dataset(path, split: str = "train") -> Dataset:
     """Read one `label<TAB>text` example per line from `path`."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
+        with open(path, "r", encoding="utf-8-sig", newline="") as f:
             raw = f.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8: {exc}") from None
@@ -124,21 +124,12 @@ def _tokens(text: str) -> list[str]:
     return text.lower().split()
 
 
-def build_vocab(dataset: Dataset, min_freq: int = 1,
-                extra_texts: Iterable[str] = ()) -> Vocabulary:
-    """Collect every lowercased whitespace token with frequency >= min_freq.
-
-    Each token occurrence in extra_texts adds min_freq to its count, so
-    those tokens always survive the frequency cutoff (used to keep
-    verbalized label phrases out of UNK territory).
-    """
-    if min_freq < 1:
-        raise DataError(f"min_freq must be >= 1, got {min_freq}")
-    counts = Counter(chain.from_iterable(_tokens(ex.text) for ex in dataset.examples))
-    for text in extra_texts:
-        for token in _tokens(text):
-            counts[token] += min_freq
-    kept = [t for t, c in counts.items() if c >= min_freq and t not in (PAD_TOKEN, UNK_TOKEN)]
+def build_vocab(dataset: Dataset, extra_texts: Iterable[str] = ()) -> Vocabulary:
+    """Every lowercased whitespace token of the dataset's texts and of
+    `extra_texts` (the verbalized label phrases), each occurrence counted once."""
+    texts = chain((ex.text for ex in dataset.examples), extra_texts)
+    counts = Counter(chain.from_iterable(map(_tokens, texts)))
+    kept = [t for t in counts if t not in (PAD_TOKEN, UNK_TOKEN)]
     if "\0" in "".join(kept):   # a checkpoint stores the tokens NUL-joined
         bad = next(t for t in kept if "\0" in t)
         raise DataError(f"token {bad!r} contains NUL, which a checkpoint cannot store")
@@ -182,15 +173,16 @@ def verbalize_label(label_name: str, verbalizer: Mapping[str, str] | None = None
         raise DataError("empty label name")
     if verbalizer is not None and label_name in verbalizer:
         phrase = verbalizer[label_name]
-        if not phrase.strip():
-            raise DataError(f"verbalizer maps {label_name!r} to an empty phrase")
-        return phrase
-    return label_name.lower().replace("_", " ")
+    else:
+        phrase = label_name.lower().replace("_", " ")
+    if not _tokens(phrase):
+        raise DataError(f"label {label_name!r} verbalizes to a phrase with no tokens")
+    return phrase
 
 
 def load_verbalizer(path) -> dict[str, str]:
     """Read a flat JSON object mapping label -> phrase."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
             data = json.load(f)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

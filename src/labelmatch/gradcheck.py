@@ -210,7 +210,7 @@ def _synthetic_instance(mode: str, dim: int, max_len: int, vocab_size: int):
     examples = [Example(label_name=label_names[i % 3], text=t) for i, t in enumerate(texts)]
     dataset = make_dataset(examples, split="train")
 
-    config = TrainConfig(fusion_mode=mode, dim=dim, max_len=max_len, min_freq=1, seed=0)
+    config = TrainConfig(fusion_mode=mode, dim=dim, max_len=max_len, seed=0)
     model = build_model(config, dataset, dtype=np.float64)
     if len(model.vocab) != vocab_size:
         raise VerificationError(f"synthetic vocab has {len(model.vocab)} entries, "

@@ -29,7 +29,8 @@ update's operations in the same order.
 Checkpoint file layout (little-endian throughout):
 
     bytes  0-4   magic "LBLM2"
-    u64 batch_size, u64 epochs, u64 seed, u64 dim, u64 max_len, u64 min_freq
+    u64 batch_size, u64 epochs, u64 seed, u64 dim, u64 max_len,
+    u64 1 (unused; it held min_freq, and loading discards it)
     f64 learning_rate
     str fusion_mode            (str = u64 byte length + UTF-8 bytes)
     u64 token count, str the tokens in id order, joined by NUL
@@ -169,7 +170,6 @@ class TrainConfig:
     fusion_mode: str = "dot"
     dim: int = 64
     max_len: int = 32
-    min_freq: int = 1
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -182,8 +182,8 @@ class TrainConfig:
             raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.fusion_mode not in FUSION_MODES:
             raise DataError(f"fusion_mode must be one of {FUSION_MODES}")
-        if min(self.dim, self.max_len, self.min_freq) < 1:
-            raise DataError("dim, max_len and min_freq must all be >= 1")
+        if min(self.dim, self.max_len) < 1:
+            raise DataError("dim and max_len must both be >= 1")
 
 
 @dataclass
@@ -287,11 +287,17 @@ def build_model(config: TrainConfig, train_set: Dataset,
     """Vocabulary, verbalized label set, and freshly initialized parameters.
 
     The vocabulary holds the train tokens plus every token of the verbalized
-    label phrases, which always survive min_freq.
+    label phrases. Two labels whose phrases tokenize alike (lowercased and
+    cut to max_len) would score alike, so they are refused.
     """
     phrases = tuple(verbalize_label(name, verbalizer) for name in train_set.label_names)
-    vocab = build_vocab(train_set, config.min_freq, extra_texts=phrases)
+    vocab = build_vocab(train_set, extra_texts=phrases)
     labels = _label_set(train_set.label_names, phrases, vocab, config.max_len)
+    first = {}
+    for name, seq in zip(labels.label_names, labels.token_seqs):
+        other = first.setdefault(seq.ids.tobytes(), name)
+        if other != name:
+            raise DataError(f"labels {other!r} and {name!r} verbalize to the same tokens")
     return _assemble(config, vocab, labels,
                      init_params(config, len(vocab), labels.num_classes, dtype=dtype))
 
@@ -538,7 +544,7 @@ def save_checkpoint(model: Model, path) -> None:
 def _write_checkpoint(f, model: Model) -> None:
     cfg = model.config
     f.write(CHECKPOINT_MAGIC)
-    for x in (cfg.batch_size, cfg.epochs, cfg.seed, cfg.dim, cfg.max_len, cfg.min_freq):
+    for x in (cfg.batch_size, cfg.epochs, cfg.seed, cfg.dim, cfg.max_len, 1):
         _write_u64(f, x)
     f.write(struct.pack("<d", cfg.learning_rate))
     _write_str(f, cfg.fusion_mode)
@@ -613,10 +619,10 @@ def load_checkpoint(path, vocab: Vocabulary | None = None,
     """
     r = _Reader(_verified_body(path), path)
     r.take(len(CHECKPOINT_MAGIC))
-    batch_size, epochs, seed, dim, max_len, min_freq = (r.u64() for _ in range(6))
+    batch_size, epochs, seed, dim, max_len, _ = (r.u64() for _ in range(6))
     lr = struct.unpack("<d", r.take(8))[0]
     config = TrainConfig(batch_size=batch_size, epochs=epochs, learning_rate=lr, seed=seed,
-                         fusion_mode=r.text(), dim=dim, max_len=max_len, min_freq=min_freq)
+                         fusion_mode=r.text(), dim=dim, max_len=max_len)
 
     n_tokens = r.u64()
     stored_vocab = Vocabulary.from_tokens(tuple(r.text().split("\0")))

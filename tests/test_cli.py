@@ -293,7 +293,8 @@ class TestCorruptedEvalInput:
 
     def test_huge_stored_min_freq_fails_fast(self, trained):
         # eval once rebuilt the vocabulary with the stored min_freq, and 2**40
-        # once meant 2**40 passes per phrase; nothing reads it at load now
+        # once meant 2**40 passes per phrase; the slot now holds a constant 1,
+        # which loading reads and discards
         ckpt, test = trained
         body = checkpoint_body(ckpt)
         at = 5 + 5 * 8  # magic, then batch_size, epochs, seed, dim, max_len
@@ -360,6 +361,40 @@ class TestUnreadableInput:
         assert_clean_exit_two(capsys, "train", "--train", train, "--test", test, "--dim", "8",
                               "--epochs", "0", "--verbalizer", verbalizer,
                               "--out", tmp_path / "model.ckpt", message="not valid JSON")
+
+    def test_labels_with_the_same_phrase_tokens(self, toy_files, tmp_path, capsys):
+        # identical label vectors give identical logits: no head can tell the labels apart
+        train, test = toy_files
+        verbalizer = tmp_path / "verbalizer.json"
+        verbalizer.write_text(json.dumps({"color": "Same  thing", "animal": "same thing"}),
+                              encoding="utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        assert_clean_exit_two(capsys, "train", "--train", train, "--test", test, "--dim", "8",
+                              "--epochs", "1", "--verbalizer", verbalizer, "--out", ckpt,
+                              message="labels 'animal' and 'color' verbalize to the same tokens")
+        assert not ckpt.exists()
+
+    def test_label_without_phrase_tokens(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_text("__\tsome text\nX\tother text\n", encoding="utf-8")
+        assert_clean_exit_two(capsys, "train", "--train", train, "--test", train, "--dim", "8",
+                              "--epochs", "0", "--out", tmp_path / "model.ckpt",
+                              message="label '__' verbalizes to a phrase with no tokens")
+
+    def test_leading_bom_is_not_a_label(self, toy_files, tmp_path, capsys):
+        train, test = toy_files
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli("train", "--train", train, "--test", test, "--dim", "8",
+                       "--epochs", "0", "--out", ckpt) == 0
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + test.read_bytes())
+        capsys.readouterr()
+        assert run_cli("stats", "--data", bom) == 0
+        assert capsys.readouterr().out.startswith("2 classes, ")
+        assert run_cli("eval", "--checkpoint", ckpt, "--test", test) == 0
+        before = capsys.readouterr().out
+        assert run_cli("eval", "--checkpoint", ckpt, "--test", bom) == 0
+        assert capsys.readouterr().out == before
 
 
 # Mutated-input property: each example changes up to three bytes of one

@@ -1,4 +1,4 @@
-import time
+import json
 from collections import Counter
 
 import numpy as np
@@ -57,6 +57,15 @@ class TestLoadDataset:
         assert [ex.label_name for ex in ds.examples] == ["B", "A"]
         assert ds.label_names == ("A", "B")
 
+    @pytest.mark.parametrize("name", ["trec6.train", "trec6.test", "atis.train", "atis.test"])
+    def test_leading_bom_is_skipped(self, data_dir, tmp_path, name):
+        # a UTF-8 byte-order mark, as Windows editors write, is not part of the first label
+        original = data_dir / f"{name}.tsv"
+        copy = tmp_path / "bom.tsv"
+        copy.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        split = name.split(".")[1]
+        assert load_dataset(copy, split=split) == load_dataset(original, split=split)
+
     def test_roundtrip(self, trec6_test_path, tmp_path):
         ds = load_dataset(trec6_test_path, split="test")
         out = tmp_path / "again.tsv"
@@ -67,21 +76,11 @@ class TestLoadDataset:
 class TestBuildVocab:
     def test_min_freq_one(self):
         ds = make_dataset([Example("X", "a a b")])
-        vocab = build_vocab(ds, min_freq=1)
+        vocab = build_vocab(ds)
         assert vocab.tokens == ("<pad>", "<unk>", "a", "b")
         assert len(vocab) == 4
         assert vocab.id_of["<pad>"] == PAD_ID == 0
         assert vocab.id_of["<unk>"] == UNK_ID == 1
-
-    def test_min_freq_two_drops_singletons(self):
-        ds = make_dataset([Example("X", "a a b")])
-        vocab = build_vocab(ds, min_freq=2)
-        assert vocab.tokens == ("<pad>", "<unk>", "a")
-
-    def test_invalid_min_freq(self):
-        ds = make_dataset([Example("X", "a")])
-        with pytest.raises(DataError):
-            build_vocab(ds, min_freq=0)
 
     def test_deterministic_across_loads(self, trec6_test_path):
         a = build_vocab(load_dataset(trec6_test_path, split="test"))
@@ -101,9 +100,11 @@ class TestBuildVocab:
         assert vocab.tokens == ("<pad>", "<unk>", "aa", "bb", "cc")
 
     def test_extra_texts_survive_min_freq(self):
+        # phrase tokens absent from the texts join the vocabulary, ordered by
+        # their counts like any other token
         ds = make_dataset([Example("X", "w w w")])
-        vocab = build_vocab(ds, min_freq=3, extra_texts=["rare phrase"])
-        assert "rare" in vocab.id_of and "phrase" in vocab.id_of
+        vocab = build_vocab(ds, extra_texts=["Rare phrase", "rare"])
+        assert vocab.tokens == ("<pad>", "<unk>", "w", "rare", "phrase")
 
     def test_token_with_nul_is_refused(self):
         # str.split() keeps NUL inside a token, and a checkpoint stores the
@@ -114,18 +115,9 @@ class TestBuildVocab:
         with pytest.raises(DataError, match="contains NUL"):
             build_vocab(make_dataset([Example("X", "a")]), extra_texts=["x\x00"])
 
-    def test_huge_min_freq_is_not_a_loop(self):
-        # phrases were once counted min_freq times each, one Counter.update
-        # per count
-        ds = make_dataset([Example("X", "w w w")])
-        started = time.monotonic()
-        vocab = build_vocab(ds, min_freq=10**9, extra_texts=["rare phrase", "rare"])
-        assert time.monotonic() - started < 1.0
-        assert vocab.tokens == ("<pad>", "<unk>", "rare", "phrase")
-
-    @pytest.mark.parametrize("min_freq", [1, 2])
+    @pytest.mark.parametrize("per_phrase_token", [1])   # what each phrase token adds
     @pytest.mark.parametrize("name", ["trec6", "atis"])
-    def test_one_count_equals_the_per_example_loop(self, data_dir, name, min_freq):
+    def test_one_count_equals_the_per_example_loop(self, data_dir, name, per_phrase_token):
         ds = load_dataset(data_dir / f"{name}.train.tsv")
         phrases = [verbalize_label(label) for label in ds.label_names]
         # the counting loop that build_vocab ran before its one chained count
@@ -134,10 +126,9 @@ class TestBuildVocab:
             counts.update(ex.text.lower().split())
         for text in phrases:
             for token in text.lower().split():
-                counts[token] += min_freq
-        kept = sorted((t for t, c in counts.items() if c >= min_freq),
-                      key=lambda t: (-counts[t], t))
-        assert build_vocab(ds, min_freq, phrases).tokens == ("<pad>", "<unk>", *kept)
+                counts[token] += per_phrase_token
+        kept = sorted(counts, key=lambda t: (-counts[t], t))
+        assert build_vocab(ds, phrases).tokens == ("<pad>", "<unk>", *kept)
 
 
 class TestTokenize:
@@ -250,6 +241,18 @@ class TestVerbalize:
         bad.write_text('["not a map"]', encoding="utf-8")
         with pytest.raises(DataError):
             load_verbalizer(bad)
+
+    def test_verbalizer_file_with_bom(self, tmp_path):
+        text = json.dumps({"LOC": "a location", "NUM": "a number"})
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_verbalizer(bom) == load_verbalizer(plain) == json.loads(text)
+
+    @pytest.mark.parametrize("name, verbalizer", [("__", None), ("NUM", {"NUM": ""})])
+    def test_phrase_without_tokens_names_the_label(self, name, verbalizer):
+        with pytest.raises(DataError, match=f"label {name!r} verbalizes to a phrase with no"):
+            verbalize_label(name, verbalizer)
 
     def test_trec6_labels_never_oov(self, trec6_train_path):
         ds = load_dataset(trec6_train_path)

@@ -455,6 +455,19 @@ class TestTrain:
             with pytest.raises(DataError, match="seed"):
                 TrainConfig(seed=seed)
 
+    def test_phrases_equal_after_max_len_are_refused(self, toy_sets):
+        train_set, _ = toy_sets
+        verbalizer = {"color": "a b c", "animal": "A b d"}
+        build_model(TrainConfig(dim=8, max_len=3), train_set, verbalizer)
+        with pytest.raises(DataError, match="labels 'animal' and 'color' verbalize to the same"):
+            build_model(TrainConfig(dim=8, max_len=2), train_set, verbalizer)
+
+    def test_min_freq_is_not_a_field(self):
+        # the vocabulary keeps every token; there is no frequency cutoff to set
+        with pytest.raises(TypeError, match="min_freq"):
+            TrainConfig(min_freq=2)
+        assert len(dataclasses.fields(TrainConfig)) == 7
+
 
 class TestPredictLogits:
     @pytest.mark.parametrize("mode", ["add", "dot"])

@@ -8,9 +8,12 @@ Two sections, one line each:
   and (3, 3, 9): 44 reports;
 * per dataset (TREC6, ATIS) and head (none, add, dot), one training epoch at
   seed 7 with the other TrainConfig defaults: the first 16 hex digits of the
-  sha256 of the float32 value store, and the epoch's `train_loss` as hex.
+  sha256 of the float32 value store, the epoch's `train_loss` as hex, and
+  the first 16 hex digits of the sha256 of the file that `save_checkpoint`
+  writes for the model (in a temporary directory).
 
-A change that claims to keep every bit prints the same text as its parent:
+A change that claims to keep every bit, checkpoint bytes included, prints
+the same text as its parent:
 
     python3 tools/bits.py > after.txt
     mkdir ../parent && git archive <parent> | tar -x -C ../parent
@@ -25,18 +28,26 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from labelmatch import TrainConfig, load_dataset, train  # noqa: E402
+from labelmatch import TrainConfig, load_dataset, save_checkpoint, train  # noqa: E402
 from labelmatch.fusion import FUSION_MODES  # noqa: E402
 from labelmatch.gradcheck import run_all  # noqa: E402
 
 GRADCHECK_POINTS = ((8, 6, 50), (2, 12, 128), (16, 2, 8), (3, 3, 9))
 DATASETS = ("trec6", "atis")
 SEED = 7
+
+
+def checkpoint_digest(model) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def main() -> None:
@@ -52,7 +63,8 @@ def main() -> None:
             model, history = train(config, train_set, test_set)
             digest = hashlib.sha256(model.store.value.tobytes()).hexdigest()[:16]
             loss = history.epochs[-1].train_loss
-            print(f"train {name} {mode} store={digest} train_loss={loss.hex()}")
+            print(f"train {name} {mode} store={digest} train_loss={loss.hex()} "
+                  f"checkpoint={checkpoint_digest(model)}")
 
 
 if __name__ == "__main__":
